@@ -14,8 +14,11 @@
 // or stages: ["infer", "inject", "eval"] to pipeline per system. Jobs
 // are journaled durably under <ns>/jobs/ (a restarted daemon lists
 // finished jobs and re-queues jobs that never started), and stream
-// progress over Server-Sent Events through the same progress pipeline
-// (shard.Hub) the CLI -progress renderers consume. Reads — outcome
+// progress over Server-Sent Events as slices of the daemon's one event
+// bus (internal/dash): per-job progress is sampled by the bus (each
+// system's first outcome, at most one sample per 200ms, its last), and
+// event ids are bus sequence numbers, so a reconnect resumes with
+// Last-Event-ID on any stream. Reads — outcome
 // listings and the paper's evaluation tables — are served read-only
 // from the store's atomic snapshots and work even while a job is
 // writing; table text is byte-identical to a
@@ -30,7 +33,8 @@
 //	     -d '{"all": true, "workers": 4}'
 //	# => {"id": "job-000001", "state": "queued", ...}
 //
-//	# watch live progress (SSE: per-system done/total, steals, yields)
+//	# watch live progress (SSE: per-system done/total as sampled by the
+//	# bus, coordinator spawns and steals)
 //	curl -N localhost:8476/v1/jobs/job-000001/events
 //
 //	# or watch the whole daemon: the embedded dashboard at

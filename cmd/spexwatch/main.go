@@ -11,8 +11,8 @@
 //
 // A dropped connection reconnects with exponential backoff, resuming
 // from the last SSE event id (Last-Event-ID) so the daemon replays only
-// what was missed — per-job streams replay from the job's backlog, the
-// daemon-wide stream from the bus's ring. -once disables reconnection:
+// what was missed — every stream replays from the bus's ring, a job's
+// stream filtered to that job. -once disables reconnection:
 // the command exits when the stream ends, which for a job stream is the
 // job's terminal state (watching an already-finished job prints its
 // final state and exits immediately).
@@ -97,10 +97,12 @@ func (o options) streamURL() string {
 
 // wireEvent is the decoded data: payload of one SSE frame — a superset
 // of both stream shapes: a job stream's server.Event (kind "state",
-// per-job event_id) and the daemon-wide bus's dash.Event (kind "job",
-// bus seq, namespace). Unknown fields are ignored, so the watcher
-// tolerates additive schema growth (the bus stamps Event.V for
-// incompatible changes).
+// event_id) and the daemon-wide bus's dash.Event (kind "job", seq,
+// namespace). Both are views of the same bus: event_id and seq are
+// both bus sequence numbers (the frame's id:), and a job stream's
+// progress is the bus's per-system samples, not every outcome.
+// Unknown fields are ignored, so the watcher tolerates additive schema
+// growth (the bus stamps Event.V for incompatible changes).
 type wireEvent struct {
 	ID        uint64 `json:"event_id"` // job stream frames
 	Seq       uint64 `json:"seq"`      // bus frames

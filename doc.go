@@ -247,7 +247,9 @@
 // /v1/jobs/{id} reports status, DELETE cancels through the engine's
 // context plumbing (finished outcomes persist; the store resumes), and
 // GET /v1/jobs/{id}/events streams live progress over Server-Sent
-// Events.
+// Events — the job's slice of the daemon's event bus, with progress
+// sampled by the bus and bus sequence numbers as event ids (see
+// "Dashboard and event bus" below).
 //
 // Jobs are scheduled as a DAG over the per-system locks: each job
 // claims exactly the systems it campaigns (all-or-nothing, from a
@@ -266,13 +268,16 @@
 // snapshots hold every finished outcome — resubmit to resume), and
 // re-queues jobs that never started.
 //
-// Progress flows through one shared pipeline end to end: the global
-// scheduler emits shard.Progress events (typed like the single-system
-// inject.Progress), a fan-out hub (shard.Hub, drop-oldest per lagging
-// subscriber) broadcasts them, and every consumer — the CLI renderer
-// (internal/progressui: per-system TTY bars, throttled one-line
-// aggregate in logs), the daemon's SSE encoder, the coordinator's
-// heartbeats — is just a subscriber.
+// Progress starts as one callback: the global scheduler emits
+// shard.Progress events (typed like the single-system
+// inject.Progress) into Options.OnProgress. The CLIs plug in a fan-out
+// hub (shard.Hub, drop-oldest per lagging subscriber) feeding the
+// renderer (internal/progressui: per-system TTY bars, throttled
+// one-line aggregate in logs). The daemon feeds every outcome to the
+// job's trace and to its one event log, the dash bus, which samples
+// per-job progress per system (first, at most one per 200ms, final);
+// a job's SSE stream is a job-filtered bus subscription whose frame
+// ids are bus sequence numbers.
 //
 // Reads are served lock-free from the store's outcome indexes, even
 // while a job is writing: GET /v1/systems/{name}/outcomes pages through
@@ -353,14 +358,14 @@
 // Every layer of the stack is instrumented against one stdlib-only
 // metrics registry (internal/obs): the engine records task latency,
 // queue depth and cache hit/miss, the campaign store its save/load
-// durations and snapshot sizes, the progress hub its emitted and
-// dropped events, the coordinator its spawns, steals and heartbeat
+// durations and snapshot sizes, the CLI progress hub and the daemon's
+// event bus their emitted and dropped events, the coordinator its spawns, steals and heartbeat
 // lag, the sim monitor every boot by reaction kind, and the daemon
 // its per-endpoint HTTP latency, ETag revalidation traffic, and job
 // lifecycle. spexd serves the registry at GET /metrics in Prometheus
 // text format (plus net/http/pprof behind -pprof), and the CLIs dump
-// it with -metrics-out <file> as JSON. The daemon also folds each
-// job's progress stream into a span tree — job → system → misconf,
+// it with -metrics-out <file> as JSON. The daemon also feeds every
+// completed outcome of a job into a span tree — job → system → misconf,
 // steal spans for coordinate runs — journaled beside the job document
 // and served at GET /v1/jobs/{id}/trace as JSON or indented text.
 // Metric families register exactly once, at package level, under
@@ -373,10 +378,11 @@
 // daemon-wide event bus: job lifecycle transitions, scheduler
 // reservations and releases (with queue depth and running counts),
 // per-system stage transitions, coordinator lifecycle events, and
-// per-system progress folded from each job's shard.Hub stream —
-// throttled to at most one event per (namespace, job, system) per
-// 200ms so a hot campaign cannot flood subscribers, with first samples
-// and completions always published. Events are typed and versioned
+// per-system progress sampled from each job's campaign — at most one
+// event per (namespace, job, system) per 200ms so a hot campaign
+// cannot flood subscribers, with first samples and completions always
+// published. The bus is the daemon's only event log: no job keeps
+// events of its own. Events are typed and versioned
 // (dash.Event stamps SchemaVersion plus a monotonic bus sequence
 // number) and fan out with the same drop-oldest discipline as
 // shard.Hub: each subscriber owns a bounded buffer, a slow consumer
@@ -390,10 +396,13 @@
 // bus sequence as their SSE id, so a reconnecting client sends
 // Last-Event-ID and replays only what it missed from the bus's ring
 // (a comment frame flags the resume as truncated when the ring has
-// moved past the requested id). Per-job streams
-// (GET /v1/jobs/{id}/events) carry per-job event ids with the same
-// resume semantics, and subscribing to an already-terminal job replays
-// its backlog through the final state event and closes cleanly. Three
+// moved past the requested id). A per-job stream
+// (GET /v1/jobs/{id}/events) is a job-filtered subscription to the
+// same bus: its progress is the bus's per-system samples, its frame
+// ids are bus sequence numbers with the same resume semantics, and it
+// closes after the job's terminal state event — rebuilt from the job
+// document once the ring has evicted it, so subscribing to a long
+// finished job still ends cleanly on its final state. Three
 // consumers ship with the daemon: the embedded dashboard at GET /ui/
 // (go:embed static assets, vanilla JS, zero external dependencies —
 // live namespace and job tables, progress bars, /metrics gauges, and

@@ -51,12 +51,14 @@
 // and Stamps — and must not emit sink records from inside a map
 // range, whose order would make equal stores fingerprint unequal.
 //
-// hubsend keeps the event fan-out non-blocking. Progress may only
-// enter the pipeline through shard.Hub (a send on a chan
-// shard.Progress outside package shard is flagged); time.Tick and a
-// time.NewTicker that is neither stopped nor escapes leak their
-// ticker; <-time.After inside a for loop allocates a timer per
-// iteration that only fires long after the loop moved on; and a
+// hubsend keeps the event fan-outs non-blocking. Daemon events may
+// only enter the dash bus through Publish (a send on a chan dash.Event
+// outside package dash is flagged), and CLI progress may only enter
+// shard.Hub through Emit (likewise a chan shard.Progress outside
+// package shard); time.Tick and a time.NewTicker that is neither
+// stopped nor escapes leak their ticker; <-time.After inside a for
+// loop allocates a timer per iteration that only fires long after the
+// loop moved on; and a
 // goroutine spawned inside an HTTP handler must observe a context (a
 // ctx variable or a Done channel), or it outlives its request.
 //

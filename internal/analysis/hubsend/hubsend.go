@@ -1,16 +1,21 @@
-// Package hubsend keeps the progress fan-out non-blocking and
-// goroutines cancellable. The progress pipeline's design invariant is
-// that a slow consumer can never stall a campaign: shard.Hub owns the
-// only buffers and sheds load by dropping the oldest event. Shapes
-// that reintroduce blocking or leaks:
+// Package hubsend keeps the event fan-outs non-blocking and
+// goroutines cancellable. The design invariant is that a slow consumer
+// can never stall a producer: in the daemon, the internal/dash bus is
+// the one event log — job lifecycle, stage and coordinator events,
+// per-job progress sampled by the bus, each job's SSE stream a
+// job-filtered subscription whose ids are bus sequence numbers — and
+// it owns the only subscriber buffers, shedding load by dropping the
+// oldest event; in the CLI, shard.Hub plays the same role between a
+// campaign and its progress renderer. Shapes that reintroduce blocking
+// or leaks:
 //
-//   - a raw channel send of shard.Progress outside package shard
-//     bypasses the Hub's drop-oldest policy — one full channel then
-//     blocks the scheduler's emit path;
-//   - likewise a raw channel send of dash.Event outside package dash:
-//     the daemon-wide bus owns the only subscriber buffers and sheds
-//     load per subscriber; a hand-rolled channel of bus events stalls
-//     every publisher on its slowest consumer;
+//   - a raw channel send of dash.Event outside package dash bypasses
+//     the bus's per-subscriber drop-oldest policy: a hand-rolled
+//     channel of bus events stalls every publisher on its slowest
+//     consumer;
+//   - likewise a raw channel send of shard.Progress outside package
+//     shard bypasses the Hub's drop-oldest policy — one full channel
+//     then blocks the scheduler's emit path;
 //   - time.Tick leaks its ticker by construction; a time.NewTicker
 //     whose handle is neither stopped nor escapes leaks it too;
 //   - <-time.After inside a loop allocates a timer per iteration that
@@ -30,7 +35,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "hubsend",
-	Doc:  "progress flows through shard.Hub, tickers are stopped, loops don't stack time.After, handler goroutines observe cancellation",
+	Doc:  "events flow through dash.Bus and shard.Hub, tickers are stopped, loops don't stack time.After, handler goroutines observe cancellation",
 	Run:  run,
 }
 

@@ -1,17 +1,20 @@
-// Package dash is the daemon's live-operations surface: one
-// process-wide event bus that aggregates what previously existed only
-// per job — job lifecycle transitions across every namespace,
-// scheduler reservations and releases, queue depth, stage
-// transitions, coordinator rebalancing, and throttled per-system
-// campaign progress folded in from each job's shard.Hub — plus the
-// embedded web UI that renders it.
+// Package dash is the daemon's one event log: a process-wide event bus
+// carrying everything spexd reports live — job lifecycle transitions
+// across every namespace, scheduler reservations and releases, queue
+// depth, stage transitions, coordinator rebalancing, and per-system
+// campaign progress sampled by the bus itself (FoldProgress: the
+// first sample, at most one per 200ms, and the final one, per system)
+// — plus the embedded web UI that renders it.
 //
 // The bus is the owned aggregation contract: internal/server publishes
-// into it from every lifecycle site, and every daemon-wide consumer
-// (the /v1/events SSE stream, the /ui/ dashboard, a remote spexwatch)
-// is just a subscriber. Like shard.Hub, delivery is best-effort by
-// design — a stalled subscriber can never stall the daemon. Each
-// subscriber has a bounded buffer; when it is full the OLDEST buffered
+// into it from every lifecycle site, and every consumer is just a
+// subscriber — the daemon-wide /v1/events SSE stream, the /ui/
+// dashboard, a remote spexwatch, and each job's own
+// /v1/jobs/{id}/events stream, which is a job-filtered subscription
+// (SubOptions.Job) whose frame ids are bus sequence numbers. Delivery
+// is best-effort by design — a stalled subscriber can never stall the
+// daemon. Each subscriber has a bounded buffer, filled only with the
+// events its filter selects; when it is full the OLDEST buffered
 // event is dropped to make room (drop accounting lands on
 // spex_dash_dropped_total, labelled by the dropped event's namespace).
 // Raw channel sends of dash.Event outside this package are a spexlint
@@ -46,7 +49,8 @@ const (
 	// reserved, or its reservation released (Event.Sched).
 	KindSched = "sched"
 	// KindProgress is a throttled per-system campaign progress sample
-	// (Event.Progress) folded in from the owning job's shard.Hub.
+	// (Event.Progress) folded in from the owning job's campaign
+	// (FoldProgress).
 	KindProgress = "progress"
 	// KindStage is a staged job's per-system pipeline transition
 	// (Event.Stage).
@@ -116,8 +120,8 @@ type Event struct {
 	// State and Error carry a KindJob lifecycle transition.
 	State string `json:"state,omitempty"`
 	Error string `json:"error,omitempty"`
-	// Progress is a KindProgress sample — the same shard.Progress shape
-	// a job's own SSE stream carries, throttled per (job, system).
+	// Progress is a KindProgress sample — the campaign's shard.Progress,
+	// throttled per (job, system).
 	Progress *shard.Progress `json:"progress,omitempty"`
 	Sched    *Sched          `json:"sched,omitempty"`
 	Stage    *Stage          `json:"stage,omitempty"`
@@ -160,8 +164,14 @@ type Bus struct {
 }
 
 type subscriber struct {
-	ch chan Event
-	ns string // "" = all namespaces
+	ch  chan Event
+	ns  string // "" = all namespaces
+	job string // "" = every job
+}
+
+// wants reports whether e passes the subscriber's filter.
+func (s *subscriber) wants(e Event) bool {
+	return (s.ns == "" || s.ns == e.Namespace) && (s.job == "" || s.job == e.Job)
 }
 
 // NewBus returns an empty bus.
@@ -180,14 +190,15 @@ func NewBus(opts Options) *Bus {
 }
 
 // Publish stamps the event (V, Seq, Time), appends it to the resume
-// ring, and fans it out to every matching subscriber. It never blocks:
-// a subscriber whose buffer is full loses its oldest buffered event.
-// Publish after Close is a no-op.
-func (b *Bus) Publish(e Event) {
+// ring, and fans it out to every matching subscriber, returning the
+// sequence number it assigned. It never blocks: a subscriber whose
+// buffer is full loses its oldest buffered event. Publish after Close
+// is a no-op and returns 0.
+func (b *Bus) Publish(e Event) uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return
+		return 0
 	}
 	b.seq++
 	e.Seq = b.seq
@@ -203,7 +214,7 @@ func (b *Bus) Publish(e Event) {
 	b.ring = append(b.ring, e)
 	mDashEvents.With(e.Namespace).Inc()
 	for _, sub := range b.subs {
-		if sub.ns != "" && sub.ns != e.Namespace {
+		if !sub.wants(e) {
 			continue
 		}
 		select {
@@ -224,6 +235,7 @@ func (b *Bus) Publish(e Event) {
 			}
 		}
 	}
+	return e.Seq
 }
 
 // FoldProgress folds one job's campaign progress stream into the bus,
@@ -273,12 +285,13 @@ func (b *Bus) ForgetJob(namespace, job string) {
 // Sub is one attached subscription.
 type Sub struct {
 	// Backlog replays ring events the subscriber asked for (Seq >
-	// AfterSeq, namespace-filtered), oldest first. Consume it before
-	// ranging over Ch; no event is in both, and none is lost between.
+	// AfterSeq, filtered like the live stream), oldest first. Consume
+	// it before ranging over Ch; no event is in both, and none is lost
+	// between.
 	Backlog []Event
-	// Truncated reports that AfterSeq resume could not be fully
-	// honored: the ring has already evicted events past AfterSeq, so
-	// the backlog starts mid-stream.
+	// Truncated reports that the replay could not be fully honored:
+	// the ring has already evicted events past AfterSeq, so the backlog
+	// may start mid-stream.
 	Truncated bool
 	// Ch delivers live events until Cancel or Bus.Close, whichever
 	// comes first (buffered events drain before the close).
@@ -292,12 +305,19 @@ type SubOptions struct {
 	// Namespace filters the stream to one tenant ("" = every
 	// namespace).
 	Namespace string
+	// Job filters the stream to one job's events ("" = every job). Job
+	// IDs are per namespace, so pair it with Namespace. The filter
+	// applies before the buffer: other jobs' traffic never evicts this
+	// job's events.
+	Job string
 	// Buffer is the subscriber's bounded channel size (min 1, 0 =
 	// 256). When full, the oldest buffered event is dropped.
 	Buffer int
 	// AfterSeq resumes after a previously seen sequence number: ring
 	// events with Seq > AfterSeq replay as Backlog. Zero subscribes
-	// live-only (no replay).
+	// live-only (no replay) — except with Job set: a job's stream is
+	// finite, so a job-filtered subscription always replays the job's
+	// retained events after AfterSeq.
 	AfterSeq uint64
 }
 
@@ -311,11 +331,12 @@ func (b *Bus) Subscribe(o SubOptions) Sub {
 	if gaugeNS == "" {
 		gaugeNS = AllNamespaces
 	}
+	sub := &subscriber{ch: make(chan Event, o.Buffer), ns: o.Namespace, job: o.Job}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var backlog []Event
 	truncated := false
-	if o.AfterSeq > 0 {
+	if o.AfterSeq > 0 || o.Job != "" {
 		if len(b.ring) > 0 && b.ring[0].Seq > o.AfterSeq+1 {
 			truncated = true
 		}
@@ -323,23 +344,19 @@ func (b *Bus) Subscribe(o SubOptions) Sub {
 			truncated = true
 		}
 		for _, e := range b.ring {
-			if e.Seq <= o.AfterSeq {
-				continue
+			if e.Seq > o.AfterSeq && sub.wants(e) {
+				backlog = append(backlog, e)
 			}
-			if o.Namespace != "" && e.Namespace != o.Namespace {
-				continue
-			}
-			backlog = append(backlog, e)
 		}
 	}
-	ch := make(chan Event, o.Buffer)
+	ch := sub.ch
 	if b.closed {
 		close(ch)
 		return Sub{Backlog: backlog, Truncated: truncated, Ch: ch, Cancel: func() {}}
 	}
 	id := b.nextID
 	b.nextID++
-	b.subs[id] = &subscriber{ch: ch, ns: o.Namespace}
+	b.subs[id] = sub
 	mDashSubscribers.With(gaugeNS).Add(1)
 	cancel := func() {
 		b.mu.Lock()

@@ -65,13 +65,39 @@ func TestNamespaceFilter(t *testing.T) {
 	}
 }
 
+// TestJobFilter: a job-filtered subscriber receives exactly that job's
+// events — not another job's, and not a same-named job of another
+// namespace.
+func TestJobFilter(t *testing.T) {
+	b := NewBus(Options{})
+	only := b.Subscribe(SubOptions{Namespace: "tenant1", Job: "job-2"})
+	b.Publish(jobEvent("tenant1", "job-1", "queued"))
+	b.Publish(jobEvent("tenant1", "job-2", "queued"))
+	b.Publish(jobEvent("tenant2", "job-2", "queued"))
+	b.Publish(Event{Namespace: "tenant1", Kind: KindSched, Sched: &Sched{Op: "queue"}})
+	b.Publish(jobEvent("tenant1", "job-2", "running"))
+	b.Close()
+	events := drain(only)
+	if len(events) != 2 || events[0].State != "queued" || events[1].State != "running" {
+		t.Fatalf("tenant1/job-2 subscriber got %+v, want its queued and running events", events)
+	}
+	for _, e := range events {
+		if e.Namespace != "tenant1" || e.Job != "job-2" {
+			t.Errorf("job filter leaked %s/%s", e.Namespace, e.Job)
+		}
+	}
+}
+
 // TestSlowConsumerDropsOldest: a full subscriber loses its oldest
 // buffered event, never blocks Publish, and converges on the freshest
-// events; drops land on the per-namespace counter.
+// events; drops land on the per-namespace counter. A job-filtered
+// subscriber with the same one-slot buffer loses nothing to the flood:
+// other jobs' events never enter its buffer.
 func TestSlowConsumerDropsOldest(t *testing.T) {
 	b := NewBus(Options{})
 	before := mDashDropped.With("default").Value()
 	slow := b.Subscribe(SubOptions{Buffer: 1})
+	filtered := b.Subscribe(SubOptions{Namespace: "default", Job: "job-1", Buffer: 1})
 	const n = 50
 	done := make(chan struct{})
 	go func() {
@@ -101,6 +127,9 @@ func TestSlowConsumerDropsOldest(t *testing.T) {
 	if int(dropped)+len(events) != n {
 		t.Errorf("accounting: %d delivered + %d dropped != %d published", len(events), dropped, n)
 	}
+	if got := drain(filtered); len(got) != 1 || got[0].Job != "job-1" {
+		t.Errorf("job-filtered subscriber lost its event to another job's flood: got %+v", got)
+	}
 }
 
 func TestResumeAfterSeq(t *testing.T) {
@@ -117,6 +146,25 @@ func TestResumeAfterSeq(t *testing.T) {
 			len(sub.Backlog), sub.Backlog[0].Seq)
 	}
 	sub.Cancel()
+
+	// Replay honours the job filter: only job-4's event follows seq 2.
+	job4 := b.Subscribe(SubOptions{Namespace: "default", Job: "job-4", AfterSeq: 2})
+	if len(job4.Backlog) != 1 || job4.Backlog[0].Job != "job-4" {
+		t.Errorf("job-filtered backlog after seq 2: got %+v, want job-4's event alone", job4.Backlog)
+	}
+	job4.Cancel()
+	job1 := b.Subscribe(SubOptions{Namespace: "default", Job: "job-1", AfterSeq: 2})
+	if len(job1.Backlog) != 0 {
+		t.Errorf("job-1's event (seq 1) replayed after seq 2: %+v", job1.Backlog)
+	}
+	job1.Cancel()
+	// A job's stream is finite: with no AfterSeq, a job-filtered
+	// subscription replays the job's retained events.
+	job2 := b.Subscribe(SubOptions{Namespace: "default", Job: "job-2"})
+	if len(job2.Backlog) != 1 || job2.Backlog[0].Seq != 2 || job2.Truncated {
+		t.Errorf("job-2 from the start: got %+v (truncated %v), want seq 2 untruncated", job2.Backlog, job2.Truncated)
+	}
+	job2.Cancel()
 	b.Close()
 }
 

@@ -74,10 +74,9 @@ func NewAuto(f *os.File, prefix string) *Renderer {
 }
 
 // Attach is the whole driver-side wiring: it creates a fan-out hub
-// (shard.Hub — the same pipeline the spexd daemon serves over SSE),
-// subscribes a renderer for f to it, and returns the hub's Emit (plug
-// it into shard.Options.OnProgress) plus a finish function that drains
-// the hub and completes the display.
+// (shard.Hub), subscribes a renderer for f to it, and returns the
+// hub's Emit (plug it into shard.Options.OnProgress) plus a finish
+// function that drains the hub and completes the display.
 func Attach(f *os.File, prefix string) (emit func(shard.Progress), finish func()) {
 	hub := shard.NewHub()
 	ch, _ := hub.Subscribe(1024)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -115,6 +116,63 @@ func TestJobTrace(t *testing.T) {
 
 	if _, err := os.Stat(filepath.Join(dir, "jobs", doc.ID+".trace.json")); err != nil {
 		t.Errorf("trace not persisted: %v", err)
+	}
+}
+
+// TestJobTraceAccountsForEveryOutcome: the recorder sees every
+// completed outcome, so each system span's misconf children plus its
+// `dropped` attribute (the spans elided past the per-system cap) add
+// up to the system's outcome count.
+func TestJobTraceAccountsForEveryOutcome(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	_, ts := daemon(t, server.Config{StateDir: dir, Workers: 2})
+
+	doc := postJob(t, ts.URL, `{"all": true, "workers": 2}`)
+	final := waitTerminal(t, ts.URL, doc.ID, 2*time.Minute)
+	if final.State != server.StateDone {
+		t.Fatalf("job ended %s: %s", final.State, final.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + doc.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var tdoc obs.TraceDoc
+	if err := json.NewDecoder(resp.Body).Decode(&tdoc); err != nil {
+		t.Fatal(err)
+	}
+	children := map[string]int{}
+	for _, s := range tdoc.Spans {
+		if s.Kind == obs.SpanMisconf {
+			children[s.Parent]++
+		}
+	}
+	systems := map[string]obs.SpanDoc{}
+	for _, s := range tdoc.Spans {
+		if s.Kind == obs.SpanSystem {
+			systems[s.Name] = s
+		}
+	}
+	if len(systems) != len(final.Systems) {
+		t.Fatalf("trace has %d system spans, job summarizes %d systems", len(systems), len(final.Systems))
+	}
+	for _, sum := range final.Systems {
+		span, ok := systems[sum.System]
+		if !ok {
+			t.Errorf("no system span for %s", sum.System)
+			continue
+		}
+		dropped := 0
+		if v, ok := span.Attrs["dropped"]; ok {
+			if dropped, err = strconv.Atoi(v); err != nil {
+				t.Fatalf("%s: dropped attr %q: %v", sum.System, v, err)
+			}
+		}
+		if got := children[span.ID] + dropped; got != sum.Outcomes {
+			t.Errorf("%s: %d misconf spans + %d dropped = %d, want %d outcomes",
+				sum.System, children[span.ID], dropped, got, sum.Outcomes)
+		}
 	}
 }
 

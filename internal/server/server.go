@@ -54,11 +54,13 @@
 // a fast system evaluates while a slow one still injects, and every
 // transition streams as a "stage" SSE event. Per-namespace quotas
 // bound concurrency (Config.MaxConcurrentJobs) and queue depth
-// (Config.MaxQueuedJobs). Each job's progress flows through the shared
-// pipeline (shard.Hub) onto the SSE stream, the same events a CLI
-// -progress renderer consumes. Every job is journaled durably under
-// <ns>/jobs/, so a restarted daemon still lists finished jobs — and
-// re-queues jobs that never started.
+// (Config.MaxQueuedJobs). Every job event — lifecycle, stage,
+// coordinator, and campaign progress sampled per system (first, at
+// most one per 200ms, final) — goes onto the daemon's one event log,
+// the dash bus; a job's SSE stream is its job-filtered subscription,
+// with bus sequence numbers as frame ids. Every job is journaled
+// durably under <ns>/jobs/, so a restarted daemon still lists finished
+// jobs — and re-queues jobs that never started.
 //
 // The daemon holds each namespace's whole-directory lock for its
 // lifetime (foreign writers stay excluded); job claims nest under it
@@ -129,8 +131,8 @@ type Config struct {
 	// only: a coordinate job's SSE stream then carries the coordinator
 	// lifecycle (spawn, steal, retry, merge) but no per-outcome
 	// "progress" events — those require the in-process default, whose
-	// workers feed the job's hub directly. The template must also set
-	// any outcome-affecting worker flags itself (e.g.
+	// workers call the job's progress callback directly. The template
+	// must also set any outcome-affecting worker flags itself (e.g.
 	// -no-optimizations); a worker whose options differ from the
 	// daemon's is rejected at merge time.
 	SpawnArgv []string
@@ -215,9 +217,11 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// bus is the daemon-wide dashboard event bus (internal/dash):
-	// every lifecycle site publishes into it, and GET /v1/events, the
-	// /ui/ dashboard, and remote spexwatch clients subscribe.
+	// bus is the daemon's one event log (internal/dash): every
+	// lifecycle, stage, coordinator and progress site publishes into
+	// it, and every stream subscribes — GET /v1/events, each job's
+	// GET /v1/jobs/{id}/events, the /ui/ dashboard, remote spexwatch
+	// clients.
 	bus *dash.Bus
 
 	mu         sync.Mutex
@@ -353,21 +357,16 @@ func (s *Server) openNamespace(name string) (*namespace, error) {
 		seq:      seq,
 	}
 	for _, doc := range docs {
-		j := newJob(doc)
+		j := &job{doc: doc}
 		ns.jobs[doc.ID] = j
 		ns.order = append(ns.order, doc.ID)
+		// Terminal jobs are history: their stream is rebuilt from the
+		// document. A job that never started under the dead daemon is
+		// re-queued live instead of buried as failed history.
 		if doc.State == StateQueued {
-			// The job never started under the dead daemon: re-queue it
-			// live instead of burying it as failed history.
-			j.publish(Event{Kind: "state", Job: doc.ID, State: StateQueued})
-			s.bus.Publish(dash.Event{Namespace: name, Kind: dash.KindJob, Job: doc.ID, State: StateQueued})
+			j.firstSeq = s.publishState(ns, doc.ID, StateQueued, "")
 			ns.pending = append(ns.pending, j)
-			continue
 		}
-		// Journaled jobs are history: publish their terminal state so a
-		// late SSE subscriber sees it, then end the stream.
-		j.publish(Event{Kind: "state", Job: doc.ID, State: doc.State, Error: doc.Error})
-		j.closeStream()
 	}
 	s.namespaces[name] = ns
 	s.nsOrder = append(s.nsOrder, name)
@@ -553,7 +552,9 @@ func (s *Server) submit(ns *namespace, spec JobSpec) (Job, error) {
 		State:     StateQueued,
 		CreatedAt: time.Now().UTC(),
 	}
-	j := newJob(doc)
+	// The queued event publishes before the job is visible, so its
+	// stream always knows where it starts.
+	j := &job{doc: doc, firstSeq: s.publishState(ns, doc.ID, StateQueued, "")}
 	ns.jobs[doc.ID] = j
 	ns.order = append(ns.order, doc.ID)
 	ns.pending = append(ns.pending, j)
@@ -561,11 +562,9 @@ func (s *Server) submit(ns *namespace, spec JobSpec) (Job, error) {
 	if err := saveJournal(ns.dir, doc); err != nil {
 		s.logger.Error("journal write failed", "job", doc.ID, "namespace", ns.name, "err", err)
 	}
-	j.publish(Event{Kind: "state", Job: doc.ID, State: StateQueued})
 	mJobsByState.With(StateQueued, ns.name).Inc()
 	depth, running := len(ns.pending), ns.running
 	s.mu.Unlock()
-	s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindJob, Job: doc.ID, State: StateQueued})
 	s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindSched, Job: doc.ID,
 		Sched: &dash.Sched{Op: "queue", QueueDepth: depth, Running: running}})
 	s.kickScheduler()
@@ -787,31 +786,11 @@ func (s *Server) runJob(ns *namespace, j *job, systems []string) {
 	if err := saveJournal(ns.dir, doc); err != nil {
 		s.logger.Error("journal write failed", "job", doc.ID, "namespace", ns.name, "err", err)
 	}
-	j.publish(Event{Kind: "state", Job: doc.ID, State: StateRunning})
-	s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindJob, Job: doc.ID, State: StateRunning})
+	s.publishState(ns, doc.ID, StateRunning, "")
 	mJobsByState.With(StateRunning, ns.name).Inc()
 	s.logger.Info("job running", "job", doc.ID, "namespace", ns.name, "spec", describeSpec(doc.Spec))
 
-	// The job's campaign feeds the shared progress pipeline; one
-	// forwarder moves hub events onto the SSE stream and into the
-	// job's trace recorder.
-	events, cancelSub := j.hub.Subscribe(1024)
-	forwarderDone := make(chan struct{})
-	go func() {
-		defer close(forwarderDone)
-		for p := range events {
-			p := p
-			rec.observeProgress(p, time.Now().UTC())
-			j.publish(Event{Kind: "progress", Job: doc.ID, Progress: &p})
-			// The daemon-wide stream gets the same samples, throttled per
-			// (namespace, job, system) by the bus.
-			s.bus.FoldProgress(ns.name, doc.ID, p)
-		}
-	}()
-
-	summaries, stats, err := s.execute(jctx, ns, j, doc.Spec, locks, rec)
-	cancelSub()
-	<-forwarderDone
+	summaries, stats, err := s.execute(jctx, ns, doc.ID, doc.Spec, locks, rec)
 
 	state := StateDone
 	msg := ""
@@ -842,14 +821,29 @@ func (s *Server) runJob(ns *namespace, j *job, systems []string) {
 	s.logger.Info("job finished", "job", doc.ID, "namespace", ns.name, "state", state)
 }
 
-// finishJob moves a job to a terminal state, journals it, publishes
-// the state event, and ends the SSE stream.
+// publishState puts a job lifecycle transition on the bus and returns
+// its sequence number.
+func (s *Server) publishState(ns *namespace, id, state, msg string) uint64 {
+	return s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindJob, Job: id, State: state, Error: msg})
+}
+
+// finishJob moves a job to a terminal state; a job that already is
+// terminal is left alone.
 func (s *Server) finishJob(ns *namespace, j *job, state, msg string) {
 	j.mu.Lock()
 	if terminal(j.doc.State) {
 		j.mu.Unlock()
 		return
 	}
+	s.endLocked(ns, j, state, msg)
+}
+
+// endLocked moves a job to a terminal state and returns its document.
+// The caller holds j.mu, which endLocked releases: the state flip and
+// the terminal bus event share one critical section, so a job stream
+// that finds the document terminal finds the terminal event already
+// published (handleJobEvents). The journal write follows outside it.
+func (s *Server) endLocked(ns *namespace, j *job, state, msg string) Job {
 	now := time.Now().UTC()
 	j.doc.State = state
 	j.doc.DoneAt = &now
@@ -857,6 +851,7 @@ func (s *Server) finishJob(ns *namespace, j *job, state, msg string) {
 	if j.doc.StartedAt != nil {
 		mJobSeconds.Observe(now.Sub(*j.doc.StartedAt).Seconds())
 	}
+	j.lastSeq = s.publishState(ns, j.doc.ID, state, msg)
 	doc := j.docLocked()
 	j.mu.Unlock()
 	mJobsByState.With(state, ns.name).Inc()
@@ -868,10 +863,8 @@ func (s *Server) finishJob(ns *namespace, j *job, state, msg string) {
 	ns.tablesMu.Lock()
 	ns.tablesCache = nil
 	ns.tablesMu.Unlock()
-	j.publish(Event{Kind: "state", Job: doc.ID, State: state, Error: msg})
-	j.closeStream()
-	s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindJob, Job: doc.ID, State: state, Error: msg})
 	s.bus.ForgetJob(ns.name, doc.ID)
+	return doc
 }
 
 // coordStats carries a coordinate job's rebalance counters.
@@ -880,7 +873,12 @@ type coordStats struct{ steals, spawns, retries int }
 // execute runs the campaign itself: the plain global scheduler, the
 // per-system staged pipeline, or the embedded coordinator for
 // coordinate jobs.
-func (s *Server) execute(ctx context.Context, ns *namespace, j *job, spec JobSpec, locks *campaignstore.LockSet, rec *traceRecorder) ([]SystemSummary, coordStats, error) {
+//
+// Every completed outcome goes to one progress callback: the job's
+// trace recorder and the bus's sampler, both of which lock internally,
+// so the concurrent callers of staged and in-process coordinate jobs
+// need no further serialization.
+func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec JobSpec, locks *campaignstore.LockSet, rec *traceRecorder) ([]SystemSummary, coordStats, error) {
 	systems, err := resolveSystems(spec)
 	if err != nil {
 		return nil, coordStats{}, err
@@ -897,11 +895,15 @@ func (s *Server) execute(ctx context.Context, ns *namespace, j *job, spec JobSpe
 		}
 		opts.SimCostDelay = d
 	}
+	progress := func(p shard.Progress) {
+		rec.observeProgress(p, time.Now().UTC())
+		s.bus.FoldProgress(ns.name, jobID, p)
+	}
 	if spec.Coordinate >= 2 {
-		return s.executeCoordinate(ctx, ns, j, spec, systems, opts, workers, locks, rec)
+		return s.executeCoordinate(ctx, ns, jobID, spec, systems, opts, workers, locks, rec, progress)
 	}
 	if len(spec.Stages) > 0 {
-		summaries, err := s.executeStaged(ctx, ns, j, spec, systems, opts, workers, locks)
+		summaries, err := s.executeStaged(ctx, ns, jobID, spec, systems, opts, workers, locks, progress)
 		return summaries, coordStats{}, err
 	}
 
@@ -913,7 +915,7 @@ func (s *Server) execute(ctx context.Context, ns *namespace, j *job, spec JobSpe
 	if err != nil {
 		return nil, coordStats{}, err
 	}
-	gopts := shard.Options{Workers: workers, Inject: opts, OnProgress: j.hub.Emit}
+	gopts := shard.Options{Workers: workers, Inject: opts, OnProgress: progress}
 	runs, runErr := shard.CampaignAll(ctx, locks, ws, gopts)
 
 	var summaries []SystemSummary
@@ -952,11 +954,10 @@ func (s *Server) execute(ctx context.Context, ns *namespace, j *job, spec JobSpe
 // each system advances infer → inject → eval on its own goroutine, so
 // a fast system reaches eval while a slow one is still injecting —
 // stage pipelining, not stage barriers. Each transition is published
-// as a "stage" SSE event. The per-system campaigns still write through
+// as a "stage" event. The per-system campaigns still write through
 // the job's per-system locks; systems outside the job's claim cannot
 // be reached by construction.
-func (s *Server) executeStaged(ctx context.Context, ns *namespace, j *job, spec JobSpec, systems []sim.System, opts inject.Options, workers int, locks *campaignstore.LockSet) ([]SystemSummary, error) {
-	jobID := j.snapshot().ID
+func (s *Server) executeStaged(ctx context.Context, ns *namespace, jobID string, spec JobSpec, systems []sim.System, opts inject.Options, workers int, locks *campaignstore.LockSet, progress func(shard.Progress)) ([]SystemSummary, error) {
 	has := make(map[string]bool, len(spec.Stages))
 	for _, st := range spec.Stages {
 		has[st] = true
@@ -983,8 +984,6 @@ func (s *Server) executeStaged(ctx context.Context, ns *namespace, j *job, spec 
 			defer wg.Done()
 			name := sys.Name()
 			emit := func(stage, state, errMsg string) {
-				j.publish(Event{Kind: "stage", Job: jobID,
-					Stage: &StageEvent{System: name, Stage: stage, State: state, Error: errMsg}})
 				s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindStage, Job: jobID,
 					Stage: &dash.Stage{System: name, Stage: stage, State: state, Error: errMsg}})
 			}
@@ -1017,7 +1016,7 @@ func (s *Server) executeStaged(ctx context.Context, ns *namespace, j *job, spec 
 					record(nil, err)
 					return
 				}
-				gopts := shard.Options{Workers: workers, Inject: opts, OnProgress: j.hub.Emit}
+				gopts := shard.Options{Workers: workers, Inject: opts, OnProgress: progress}
 				runs, runErr := shard.CampaignAll(ctx, locks, ws, gopts)
 				if runErr != nil {
 					emit(StageInject, "failed", runErr.Error())
@@ -1070,13 +1069,12 @@ func (s *Server) executeStaged(ctx context.Context, ns *namespace, j *job, spec 
 // canonical store. The daemon hands coord.Run the job's per-system
 // lock set, so the final merge writes under the claims the scheduler
 // already holds for this job.
-func (s *Server) executeCoordinate(ctx context.Context, ns *namespace, j *job, spec JobSpec, systems []sim.System, opts inject.Options, workers int, locks *campaignstore.LockSet, rec *traceRecorder) ([]SystemSummary, coordStats, error) {
-	jobID := j.snapshot().ID
+func (s *Server) executeCoordinate(ctx context.Context, ns *namespace, jobID string, spec JobSpec, systems []sim.System, opts inject.Options, workers int, locks *campaignstore.LockSet, rec *traceRecorder, progress func(shard.Progress)) ([]SystemSummary, coordStats, error) {
 	stealMin := coord.DefaultStealMin
 	if spec.StealMin != nil {
 		stealMin = *spec.StealMin
 	}
-	wopts := coord.WorkerOptions{Workers: workers, Inject: opts, OnProgress: j.hub.Emit}
+	wopts := coord.WorkerOptions{Workers: workers, Inject: opts, OnProgress: progress}
 	spawn := s.inprocSpawner(systems, wopts)
 	if len(s.cfg.SpawnArgv) > 0 {
 		spawn = coord.ExecSpawner(s.cfg.SpawnArgv)
@@ -1093,14 +1091,11 @@ func (s *Server) executeCoordinate(ctx context.Context, ns *namespace, j *job, s
 		Spawn:         spawn,
 		OnEvent: func(e coord.Event) {
 			rec.observeCoord(e, time.Now().UTC())
-			ce := &CoordEvent{Kind: e.Kind, Worker: e.Worker, From: e.From, Keys: e.Keys, Attempt: e.Attempt}
+			ce := &dash.Coord{Kind: e.Kind, Worker: e.Worker, From: e.From, Keys: e.Keys, Attempt: e.Attempt}
 			if e.Err != nil {
 				ce.Error = e.Err.Error()
 			}
-			j.publish(Event{Kind: "coord", Job: jobID, Coord: ce})
-			s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindCoord, Job: jobID,
-				Coord: &dash.Coord{Kind: ce.Kind, Worker: ce.Worker, From: ce.From,
-					Keys: ce.Keys, Attempt: ce.Attempt, Error: ce.Error}})
+			s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindCoord, Job: jobID, Coord: ce})
 		},
 	}
 	res, err := coord.Run(ctx, cfg)
@@ -1121,7 +1116,7 @@ func (s *Server) executeCoordinate(ctx context.Context, ns *namespace, j *job, s
 // inprocSpawner runs coordinate-job workers as goroutines over
 // coord.RunWorker — the default when no spawn template is configured.
 // Each worker locks its own shard directory and feeds the job's
-// progress hub.
+// progress callback.
 func (s *Server) inprocSpawner(systems []sim.System, wopts coord.WorkerOptions) coord.SpawnFunc {
 	return func(ctx context.Context, spec coord.WorkerSpec) (coord.Handle, error) {
 		wctx, cancel := context.WithCancel(ctx)
@@ -1507,21 +1502,7 @@ func (s *Server) handleJobDelete(ns *namespace, w http.ResponseWriter, r *http.R
 	switch j.doc.State {
 	case StateQueued:
 		// Never started: terminal immediately; the dispatcher drops it.
-		now := time.Now().UTC()
-		j.doc.State = StateCancelled
-		j.doc.DoneAt = &now
-		j.doc.Error = "cancelled while queued"
-		doc := j.docLocked()
-		j.mu.Unlock()
-		mJobsByState.With(StateCancelled, ns.name).Inc()
-		if err := saveJournal(ns.dir, doc); err != nil {
-			s.logger.Error("journal write failed", "job", doc.ID, "namespace", ns.name, "err", err)
-		}
-		j.publish(Event{Kind: "state", Job: doc.ID, State: StateCancelled, Error: doc.Error})
-		j.closeStream()
-		s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindJob, Job: doc.ID,
-			State: StateCancelled, Error: doc.Error})
-		s.bus.ForgetJob(ns.name, doc.ID)
+		doc := s.endLocked(ns, j, StateCancelled, "cancelled while queued")
 		s.kickScheduler()
 		writeJSON(w, http.StatusOK, doc)
 	case StateRunning:
@@ -1539,77 +1520,59 @@ func (s *Server) handleJobDelete(ns *namespace, w http.ResponseWriter, r *http.R
 	}
 }
 
+// handleJobEvents streams one job's events: its job-filtered bus
+// subscription in the per-job wire shape (jobFrame), closed after the
+// terminal state event. Replay starts at the job's first event, or
+// after Last-Event-ID on a reconnect. When the ring has evicted the
+// terminal event it is rebuilt from the job document under its own
+// sequence number — id 1 for journaled history, which never reached
+// this daemon's bus and so precedes every live event.
 func (s *Server) handleJobEvents(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(ns, r.PathValue("id"))
+	id := r.PathValue("id")
+	j := s.lookup(ns, id)
 	if j == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
+		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
-		return
+	after := lastEventID(r)
+	j.mu.Lock()
+	history := j.firstSeq == 0
+	if !history {
+		// Ring traffic older than the job is not a gap in its stream.
+		after = max(after, j.firstSeq-1)
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	writeEvent := func(e Event) bool {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return false
+	sub := s.bus.Subscribe(dash.SubOptions{Namespace: ns.name, Job: id, AfterSeq: after})
+	state, msg, end := j.doc.State, j.doc.Error, max(j.lastSeq, 1)
+	j.mu.Unlock()
+	if terminal(state) {
+		// Nothing more will be published: the stream is the backlog.
+		sub.Cancel()
+		if history {
+			sub.Truncated = false // it had no events on this bus to lose
 		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.ID, e.Kind, data); err != nil {
-			return false
-		}
-		return true
-	}
-
-	backlog, dropped, ch, cancelSub := j.subscribe(lastEventID(r))
-	defer cancelSub()
-	if dropped > 0 {
-		// SSE comment: the backlog cap evicted early events, so this
-		// replay starts mid-stream.
-		fmt.Fprintf(w, ": backlog truncated, %d early events dropped\n\n", dropped)
-	}
-	for _, e := range backlog {
-		if !writeEvent(e) {
-			return
+		if after < end && (len(sub.Backlog) == 0 || sub.Backlog[0].Seq > end) {
+			sub.Backlog = []dash.Event{{Seq: end, Namespace: ns.name, Kind: dash.KindJob, Job: id, State: state, Error: msg}}
 		}
 	}
-	flusher.Flush()
-	interval := s.cfg.KeepaliveInterval
-	if interval <= 0 {
-		interval = defaultKeepalive
-	}
-	keepalive := time.NewTicker(interval)
-	defer keepalive.Stop()
-	for {
-		select {
-		case e, open := <-ch:
-			if !open {
-				return // terminal state delivered; stream complete
-			}
-			if !writeEvent(e) {
-				return
-			}
-			flusher.Flush()
-		case <-keepalive.C:
-			// SSE comment frame: keeps proxies and load balancers from
-			// idling out a quiet stream; clients ignore comments.
-			if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-			mSSEKeepalives.Inc()
-		case <-r.Context().Done():
-			return
-		case <-s.ctx.Done():
-			return
-		}
-	}
+	s.streamSSE(w, r, sub, jobFrame)
 }
+
+// jobFrame maps a job's bus events onto the per-job wire shape (Event):
+// a lifecycle event becomes "state", and the terminal one ends the
+// stream; scheduler events are daemon bookkeeping and are skipped.
+func jobFrame(e dash.Event) (string, any, bool) {
+	ev := Event{ID: e.Seq, Kind: e.Kind, Job: e.Job, Progress: e.Progress, Coord: e.Coord, Stage: e.Stage}
+	switch e.Kind {
+	case dash.KindSched:
+		return "", nil, false
+	case dash.KindJob:
+		ev.Kind, ev.State, ev.Error = "state", e.State, e.Error
+	}
+	return ev.Kind, ev, terminal(ev.State)
+}
+
+// busFrame writes bus events as they are — the daemon-wide stream.
+func busFrame(e dash.Event) (string, any, bool) { return e.Kind, e, false }
 
 // lastEventID parses the SSE Last-Event-ID request header a
 // reconnecting EventSource (or spexwatch) sends: the id of the last
@@ -1626,14 +1589,24 @@ func lastEventID(r *http.Request) uint64 {
 	return n
 }
 
-// serveBus streams the daemon-wide dashboard bus as SSE — the handler
-// behind GET /v1/events (namespace "" = every tenant) and
-// GET /v1/ns/{ns}/events (one tenant). Each frame's id: is the bus
-// sequence number, so a dropped connection resumes with Last-Event-ID
-// from the bus's ring; when the ring has already moved past the
-// requested id the replay starts mid-stream after a comment frame says
-// so.
+// serveBus streams the daemon-wide bus — the handler behind
+// GET /v1/events (namespace "" = every tenant) and
+// GET /v1/ns/{ns}/events (one tenant). A dropped connection resumes
+// with Last-Event-ID from the bus's ring.
 func (s *Server) serveBus(w http.ResponseWriter, r *http.Request, namespace string) {
+	s.streamSSE(w, r, s.bus.Subscribe(dash.SubOptions{Namespace: namespace, AfterSeq: lastEventID(r)}), busFrame)
+}
+
+// streamSSE is the one SSE write loop behind every event stream. It
+// writes the subscription's backlog, then its live events, each mapped
+// by frame to an event: name ("" skips the event), a data: payload,
+// and whether the frame ends the stream; every frame's id: is the
+// event's bus sequence number. A comment frame flags a replay the ring
+// could not fully honor, and keepalive comment frames fill idle
+// intervals. The stream also ends when the subscription closes or the
+// client or daemon goes away; streamSSE cancels the subscription.
+func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, sub dash.Sub, frame func(dash.Event) (string, any, bool)) {
+	defer sub.Cancel()
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
@@ -1644,24 +1617,28 @@ func (s *Server) serveBus(w http.ResponseWriter, r *http.Request, namespace stri
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	writeEvent := func(e dash.Event) bool {
-		data, err := json.Marshal(e)
+	// write reports whether the stream goes on after e.
+	write := func(e dash.Event) bool {
+		kind, v, last := frame(e)
+		if kind == "" {
+			return true
+		}
+		data, err := json.Marshal(v)
 		if err != nil {
 			return false
 		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Kind, data); err != nil {
+		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, kind, data); err != nil {
 			return false
 		}
-		return true
+		return !last
 	}
 
-	sub := s.bus.Subscribe(dash.SubOptions{Namespace: namespace, AfterSeq: lastEventID(r)})
-	defer sub.Cancel()
 	if sub.Truncated {
-		fmt.Fprint(w, ": resume truncated, the ring moved past the requested id\n\n")
+		fmt.Fprint(w, ": replay truncated, the ring moved past the requested events\n\n")
 	}
 	for _, e := range sub.Backlog {
-		if !writeEvent(e) {
+		if !write(e) {
+			flusher.Flush()
 			return
 		}
 	}
@@ -1676,13 +1653,16 @@ func (s *Server) serveBus(w http.ResponseWriter, r *http.Request, namespace stri
 		select {
 		case e, open := <-sub.Ch:
 			if !open {
-				return // daemon shutting down; bus closed
+				return // cancelled, or the daemon is shutting down
 			}
-			if !writeEvent(e) {
+			more := write(e)
+			flusher.Flush()
+			if !more {
 				return
 			}
-			flusher.Flush()
 		case <-keepalive.C:
+			// SSE comment frame: keeps proxies and load balancers from
+			// idling out a quiet stream; clients ignore comments.
 			if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {
 				return
 			}

@@ -1,10 +1,11 @@
-// Campaign trace recording: the daemon folds the progress and
-// coordinator event streams it already publishes over SSE into an
-// obs.Trace span tree — job → system → misconf, with steal spans under
-// the job for coordinate runs. The recorder is wholly event-driven (no
-// hooks inside the engine beyond the Elapsed field progress events
-// carry), the finished tree is journaled next to the job document, and
-// GET /v1/jobs/{id}/trace serves it as JSON or indented text.
+// Campaign trace recording: the daemon feeds every completed outcome
+// (the campaign's OnProgress callback, unsampled) and every
+// coordinator event into an obs.Trace span tree — job → system →
+// misconf, with steal spans under the job for coordinate runs. The
+// recorder is wholly event-driven (no hooks inside the engine beyond
+// the Elapsed field progress events carry), the finished tree is
+// journaled next to the job document, and GET /v1/jobs/{id}/trace
+// serves it as JSON or indented text.
 package server
 
 import (

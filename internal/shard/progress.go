@@ -3,13 +3,15 @@ package shard
 import "sync"
 
 // Hub fans one campaign's Progress stream out to any number of
-// subscribers — the shared progress pipeline behind every consumer:
-// the CLI status line and TTY bar renderer (internal/progressui), the
-// daemon's Server-Sent-Events stream (internal/server), and the
-// coordinator's heartbeats all read the same events a single
-// Options.OnProgress callback would see. Plug Emit into
+// subscribers in process — the CLI's adapter between a campaign's
+// Options.OnProgress callback and its renderer (internal/progressui:
+// spexinj -progress, spexeval -progress -global). Plug Emit into
 // Options.OnProgress (or chain it from an existing callback) and
-// attach consumers with Subscribe.
+// attach consumers with Subscribe. The daemon does not use it: spexd
+// feeds each completed outcome straight to the job's trace and to the
+// internal/dash event bus, which samples per-job progress per system,
+// and a job's SSE stream is a job-filtered bus subscription whose
+// frame ids are bus sequence numbers.
 //
 // Delivery is best-effort by design: progress is advisory display
 // state, and a stalled subscriber must never be able to stall the
