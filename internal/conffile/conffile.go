@@ -193,7 +193,7 @@ func (f *File) Keys() []string {
 
 // Map returns directive key/value pairs (first occurrence wins).
 func (f *File) Map() map[string]string {
-	m := make(map[string]string)
+	m := make(map[string]string, len(f.index))
 	for _, ln := range f.Lines {
 		if ln.Kind == LineDirective {
 			if _, ok := m[ln.Key]; !ok {
@@ -204,12 +204,16 @@ func (f *File) Map() map[string]string {
 	return m
 }
 
-// Clone returns a deep copy of the AR, suitable for mutation by the
-// injector while keeping the template intact.
+// Clone returns a copy of the AR, suitable for mutation by the injector
+// while keeping the template intact. Lines are copied; the index's line
+// lists are shared but clipped to their length, so an append in Set
+// reallocates instead of writing into the template's (copy-on-write).
 func (f *File) Clone() *File {
-	nf := &File{Syntax: f.Syntax, Lines: make([]Line, len(f.Lines))}
+	nf := &File{Syntax: f.Syntax, Lines: make([]Line, len(f.Lines)), index: make(map[string][]int, len(f.index))}
 	copy(nf.Lines, f.Lines)
-	nf.reindex()
+	for k, s := range f.index {
+		nf.index[k] = s[:len(s):len(s)]
+	}
 	return nf
 }
 

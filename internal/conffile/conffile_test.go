@@ -114,6 +114,105 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
+// checkUnset fails unless every key is absent from f on every read
+// path: Get, LineOf and String.
+func checkUnset(t *testing.T, name string, f *File, keys ...string) {
+	t.Helper()
+	for _, k := range keys {
+		if v, ok := f.Get(k); ok {
+			t.Errorf("%s: Get(%s) = %q, want absent", name, k, v)
+		}
+		if n, ok := f.LineOf(k); ok {
+			t.Errorf("%s: LineOf(%s) = %d, want absent", name, k, n)
+		}
+		if strings.Contains(f.String(), k) {
+			t.Errorf("%s: String() mentions %s:\n%s", name, k, f.String())
+		}
+	}
+}
+
+func TestCloneSetNewKeyDoesNotLeak(t *testing.T) {
+	tmpl, _ := Parse(sampleEquals, SyntaxEquals)
+	want := tmpl.String()
+	a, b := tmpl.Clone(), tmpl.Clone()
+	a.Set("only_a", "1")
+	b.Set("only_b", "2")
+	for _, c := range []struct {
+		name     string
+		f        *File
+		key, val string
+		absent   string
+	}{{"clone a", a, "only_a", "1", "only_b"}, {"clone b", b, "only_b", "2", "only_a"}} {
+		if v, ok := c.f.Get(c.key); !ok || v != c.val {
+			t.Errorf("%s: Get(%s) = %q,%v, want %q", c.name, c.key, v, ok, c.val)
+		}
+		if n, ok := c.f.LineOf(c.key); !ok || n != len(tmpl.Lines)+1 {
+			t.Errorf("%s: LineOf(%s) = %d,%v, want %d", c.name, c.key, n, ok, len(tmpl.Lines)+1)
+		}
+		if got := c.f.String(); got != want+c.key+" = "+c.val+"\n" {
+			t.Errorf("%s: String() =\n%s", c.name, got)
+		}
+		checkUnset(t, c.name, c.f, c.absent)
+	}
+	checkUnset(t, "template", tmpl, "only_a", "only_b")
+	if got := tmpl.String(); got != want {
+		t.Errorf("template changed by its clones:\n%s", got)
+	}
+}
+
+func TestCloneDeleteLeavesTemplate(t *testing.T) {
+	tmpl, _ := Parse(sampleEquals, SyntaxEquals)
+	want := tmpl.String()
+	c := tmpl.Clone()
+	if !c.Delete("port") {
+		t.Fatal("Delete(port) on the clone = false")
+	}
+	c.Set("datadir", "/tmp")
+	checkUnset(t, "clone", c, "port")
+	if v, ok := tmpl.Get("port"); !ok || v != "3306" {
+		t.Errorf("template port = %q,%v after deleting it from a clone", v, ok)
+	}
+	if n, ok := tmpl.LineOf("datadir"); !ok || n != 7 {
+		t.Errorf("template LineOf(datadir) = %d,%v, want 7", n, ok)
+	}
+	if v, _ := tmpl.Get("datadir"); v != "/var/lib/db" {
+		t.Errorf("template datadir = %q after a Set on a clone", v)
+	}
+	if got := tmpl.String(); got != want {
+		t.Errorf("template changed by a clone's Delete:\n%s", got)
+	}
+}
+
+func TestCloneOfClone(t *testing.T) {
+	tmpl, _ := Parse(sampleEquals, SyntaxEquals)
+	want := tmpl.String()
+	mutate := func(f *File) {
+		f.Set("port", "1")
+		f.Set("added", "yes")
+		f.Set("more", "no")
+	}
+	direct, mid := tmpl.Clone(), tmpl.Clone()
+	nested := mid.Clone()
+	mutate(direct)
+	mutate(nested)
+	if direct.String() != nested.String() {
+		t.Errorf("clone of a clone renders\n%s\nwant\n%s", nested.String(), direct.String())
+	}
+	for _, k := range []string{"port", "added", "more", "datadir"} {
+		dv, dok := direct.Get(k)
+		nv, nok := nested.Get(k)
+		dn, _ := direct.LineOf(k)
+		nn, _ := nested.LineOf(k)
+		if dv != nv || dok != nok || dn != nn {
+			t.Errorf("%s: nested clone has %q,%v line %d, direct clone %q,%v line %d", k, nv, nok, nn, dv, dok, dn)
+		}
+	}
+	checkUnset(t, "intermediate clone", mid, "added", "more")
+	if mid.String() != want || tmpl.String() != want {
+		t.Errorf("mutating a clone of a clone changed its ancestors")
+	}
+}
+
 func TestLineOf(t *testing.T) {
 	f, _ := Parse("# c\na = 1\nb = 2\n", SyntaxEquals)
 	if n, ok := f.LineOf("b"); !ok || n != 3 {

@@ -293,20 +293,29 @@ func Run(sys sim.System, ms []confgen.Misconf, opts Options) (*Report, error) {
 // worker pool; the global cross-target scheduler (internal/shard)
 // interleaves many runners' tasks on a single pool.
 type Runner struct {
-	sys      sim.System
-	tmplText string
-	opts     Options
+	sys     sim.System
+	tmpl    *conffile.File // parsed template; every Test clones it
+	tmplErr error          // template parse error, returned by every Test
+	tests   []sim.FuncTest // functional tests in run order
+	opts    Options
 }
 
 // NewRunner prepares a runner for the system. The options are
 // normalized once here (HangDeadline zero becomes DefaultHangDeadline),
 // so every Test call and every scheduler sees the same effective
-// options.
+// options. The template configuration is parsed and the functional
+// tests are ordered once here too; Test only reads them, so concurrent
+// Test calls share them safely.
 func NewRunner(sys sim.System, opts Options) *Runner {
 	if opts.HangDeadline == 0 {
 		opts.HangDeadline = DefaultHangDeadline
 	}
-	return &Runner{sys: sys, tmplText: sys.DefaultConfig(), opts: opts}
+	tmpl, err := conffile.Parse(sys.DefaultConfig(), sys.Syntax())
+	tests := append([]sim.FuncTest(nil), sys.Tests()...)
+	if opts.SortTests {
+		sort.SliceStable(tests, func(i, j int) bool { return tests[i].Weight < tests[j].Weight })
+	}
+	return &Runner{sys: sys, tmpl: tmpl, tmplErr: err, tests: tests, opts: opts}
 }
 
 // System returns the runner's target.
@@ -321,7 +330,7 @@ func (r *Runner) Options() Options { return r.opts }
 // harness-level failure (the misconfiguration could not be tested),
 // never a system reaction.
 func (r *Runner) Test(ctx context.Context, m confgen.Misconf) (Outcome, error) {
-	out, err := runOne(ctx, r.sys, r.tmplText, m, r.opts)
+	out, err := r.runOne(ctx, m)
 	if err == nil && !r.opts.KeepAllLogs && !out.Reaction.Vulnerability() {
 		// Good/tolerated reactions never render their logs; dropping
 		// the dump keeps the result cache and persisted snapshots
@@ -432,16 +441,16 @@ func RunContext(ctx context.Context, sys sim.System, ms []confgen.Misconf, opts 
 	return rep, nil
 }
 
-func runOne(ctx context.Context, sys sim.System, tmplText string, m confgen.Misconf, opts Options) (Outcome, error) {
+func (r *Runner) runOne(ctx context.Context, m confgen.Misconf) (Outcome, error) {
+	sys, opts := r.sys, r.opts
 	out := Outcome{Misconf: m}
 	if m.Violates != nil {
 		out.Loc = m.Violates.Loc
 	}
-	tmpl, err := conffile.Parse(tmplText, sys.Syntax())
-	if err != nil {
-		return out, err
+	if r.tmplErr != nil {
+		return out, r.tmplErr
 	}
-	cfg := tmpl.Clone()
+	cfg := r.tmpl.Clone()
 	// Apply the injected values in sorted order so the rendered config —
 	// and with it every downstream log line — is deterministic even for
 	// multi-parameter misconfigurations.
@@ -489,11 +498,7 @@ func runOne(ctx context.Context, sys sim.System, tmplText string, m confgen.Misc
 	inst := started.Instance
 	defer inst.Stop()
 
-	tests := append([]sim.FuncTest(nil), sys.Tests()...)
-	if opts.SortTests {
-		sort.SliceStable(tests, func(i, j int) bool { return tests[i].Weight < tests[j].Weight })
-	}
-	for _, t := range tests {
+	for _, t := range r.tests {
 		out.SimCost += t.Weight
 		if err := sim.RunTest(t, env, inst); err != nil {
 			pin = env.Log.Pinpoints(m.Param, injected, line)

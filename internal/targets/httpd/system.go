@@ -14,6 +14,9 @@ import (
 //go:embed corpus.go
 var corpusSource string
 
+// zeroArena backs every allocBuffer result and must never be written.
+var zeroArena [1 << 20]byte
+
 // System is the httpd target.
 type System struct{}
 
