@@ -297,27 +297,40 @@
 // # Binary snapshot format and the outcome index
 //
 // The snapshot container (internal/campaignstore's codec) is built for
-// a million-outcome read path: after the magic "SPEXSNP1" and a
+// a million-outcome read path: after the magic "SPEXSNP2" come a
 // uvarint-framed JSON header blob (schema fingerprint, system, save
-// time, options identity, constraint set + fingerprint) come the
-// outcome records — uvarint key length, key, varint freshness stamp
-// (UnixNano), uvarint payload length, compact per-outcome JSON — in
-// strictly ascending key order, then a zero terminator, a uvarint
-// record count, and a CRC-32 trailer over everything before it. Record
-// payloads stay JSON on purpose: they are exactly the bytes
-// Snapshot.Fingerprint hashes, so a streaming writer folds the
-// replay-equivalence fingerprint for free as records pass through, and
-// migrating a JSON-era store to the binary container provably cannot
-// change its fingerprint. The ascending key order is what makes
-// spexmerge a bounded-memory k-way streaming merge: internal/shard
-// opens one record iterator per shard, folds the minimum key's
-// freshest copy (stamp, then lexicographically greatest shard
-// directory) into a streaming writer, and never materializes a shard's
-// outcome map. All fail-safe semantics carry over bit for bit — a
-// truncated file, a flipped bit (CRC), a stale schema fingerprint, or
-// mismatched options still falls back to a full campaign, and the
-// legacy SPEX_SNAPSHOT_JSON=1 hatch reproduces the old JSON writer for
-// compatibility tests.
+// time, options identity, constraint-set fingerprint), a uvarint-framed
+// binary constraint set, and the outcome records — each one frame of
+// key, varint freshness stamp (UnixNano) and the outcome in a
+// fixed-order binary encoding (varints, length-prefixed strings, nil
+// flags on every slice, map and pointer, float64 bits, sorted map keys)
+// — in strictly ascending key order, then a zero terminator, a uvarint
+// record count, and a CRC-32 trailer over everything before it. The
+// first container, "SPEXSNP1", carried each outcome as compact JSON and
+// the constraint set inside the header JSON, so every store load ran
+// encoding/json over every outcome and every List re-parsed ~20 KB of
+// constraints to read a system name: replaying a campaign cost more
+// than running it fresh. The binary records decode without reflection
+// and with one string allocation per record, and the fingerprint did
+// not move: the encoder still hashes each outcome's json.Marshal bytes,
+// and the codec is exact, so Snapshot.Fingerprint, spexmerge's store
+// fingerprints and the daemon's ETags are unchanged, and migrating a
+// JSON-era store to the container cannot change its fingerprint. A
+// SPEXSNP1 file is stale: it loads as ErrStale and falls back to one
+// full campaign, which rewrites it; List skips it, its index sidecar is
+// not served, and a shard merge refuses it, naming the file. The
+// ascending key order is what makes spexmerge a bounded-memory k-way
+// streaming merge: internal/shard opens one record iterator per shard,
+// folds the minimum key's freshest copy (stamp, then lexicographically
+// greatest shard directory) into a streaming writer, and never
+// materializes a shard's outcome map. All fail-safe semantics carry
+// over bit for bit — a truncated file, a flipped bit (CRC), a length
+// prefix longer than the bytes that remain, leftover bytes in a record,
+// a stale schema fingerprint, or mismatched options still falls back to
+// a full campaign, and the legacy SPEX_SNAPSHOT_JSON=1 hatch reproduces
+// the old JSON writer for compatibility tests. FuzzSnapshotDecode (CI
+// runs it for 15 s) checks that the decoder never panics and that
+// whatever it accepts re-encodes to the same records.
 //
 // Beside each snapshot lives its outcome index
 // (internal/outcomeindex, <system>.campaign.idx): a compact per-outcome

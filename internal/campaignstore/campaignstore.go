@@ -6,11 +6,12 @@
 // constraints the revision touched. Everything else replays from the
 // snapshot at zero simulated cost.
 //
-// A snapshot is a versioned JSON document saved atomically (write to a
-// temporary file, then rename) under a state directory, one file per
-// target system. Loading is fail-safe: a missing, corrupt, truncated or
-// schema-stale snapshot never replays outcomes — Load reports why, and
-// the drivers fall back to a full campaign that rebuilds the snapshot.
+// A snapshot is a versioned binary container (codec.go) saved
+// atomically (write to a temporary file, then rename) under a state
+// directory, one file per target system. Loading is fail-safe: a
+// missing, corrupt, truncated or schema-stale snapshot never replays
+// outcomes — Load reports why, and the callers fall back to a full
+// campaign that rebuilds the snapshot.
 //
 // The schema fingerprint covers every encoding a snapshot depends on:
 // the store's own layout version, the numeric values of the env-action
@@ -238,10 +239,10 @@ func (s *Store) LegacyPath(system string) string {
 // decodeSnapshot unmarshals and validates one snapshot document — the
 // shared half of Load and LoadAll. label names the source in errors.
 // The format is sniffed from the content, not the file name: binary
-// containers open with the magic, anything else decodes as the legacy
-// v2 JSON document.
+// containers open with a magic, anything else decodes as the legacy v2
+// JSON document.
 func decodeSnapshot(data []byte, label string) (*Snapshot, error) {
-	if bytes.HasPrefix(data, snapMagic) {
+	if isContainer(data) {
 		return decodeBinarySnapshot(data, label)
 	}
 	var snap Snapshot
@@ -552,8 +553,9 @@ func (s *Store) List() ([]string, error) {
 
 // readSystemName extracts the system name from a snapshot file as
 // cheaply as the format allows: a binary container yields it from the
-// header frame without touching the outcome records; a legacy JSON
-// document must be read whole.
+// small header frame, without touching the constraint set or the
+// outcome records; a legacy JSON document must be read whole. A file in
+// the older container version is an error wrapping ErrStale.
 func readSystemName(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -561,10 +563,16 @@ func readSystemName(path string) (string, error) {
 	}
 	defer f.Close()
 	magic := make([]byte, len(snapMagic))
-	if n, _ := io.ReadFull(f, magic); n == len(snapMagic) && bytes.Equal(magic, snapMagic) {
-		br := bufio.NewReader(f)
+	if n, _ := io.ReadFull(f, magic); n == len(snapMagic) && bytes.Equal(magic, oldSnapMagic) {
+		return "", errOldContainer(path)
+	} else if n == len(snapMagic) && bytes.Equal(magic, snapMagic) {
+		fi, err := f.Stat()
+		if err != nil {
+			return "", err
+		}
+		br := bufio.NewReaderSize(f, 512)
 		blobLen, err := binary.ReadUvarint(br)
-		if err != nil || blobLen > maxFrameLen {
+		if err != nil || blobLen > uint64(fi.Size()) {
 			return "", fmt.Errorf("campaignstore: corrupt header in %s", path)
 		}
 		head := make([]byte, blobLen)

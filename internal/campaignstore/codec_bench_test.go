@@ -37,7 +37,8 @@ func benchSnapshot(n int) *Snapshot {
 	return snap
 }
 
-// encodeBinary streams the snapshot through the container codec.
+// encodeBinary streams the snapshot through the container codec, each
+// record with its own stamp.
 func encodeBinary(snap *Snapshot) ([]byte, error) {
 	var buf bytes.Buffer
 	enc, err := NewSnapshotEncoder(&buf, snap)
@@ -50,7 +51,7 @@ func encodeBinary(snap *Snapshot) ([]byte, error) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if err := enc.Add(k, snap.SavedAt, snap.Outcomes[k]); err != nil {
+		if err := enc.Add(k, snap.Stamps[k], snap.Outcomes[k]); err != nil {
 			return nil, err
 		}
 	}

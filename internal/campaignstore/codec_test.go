@@ -3,6 +3,11 @@ package campaignstore
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"reflect"
 	"strings"
@@ -13,7 +18,7 @@ import (
 
 // fixtureOutcomes builds a deterministic outcome map large enough to
 // exercise multi-record streaming.
-func fixtureOutcomes(t *testing.T, n int) map[string]inject.Outcome {
+func fixtureOutcomes(t testing.TB, n int) map[string]inject.Outcome {
 	t.Helper()
 	c := basicC("p")
 	out := make(map[string]inject.Outcome, n)
@@ -283,5 +288,167 @@ func TestLoadIndexSidecar(t *testing.T) {
 	}
 	if len(again.Docs) != len(outcomes) {
 		t.Fatalf("stale sidecar served: %d docs, want %d", len(again.Docs), len(outcomes))
+	}
+}
+
+// asOldContainer rewrites a saved snapshot's magic to the first
+// container version's, which is what a store written before the binary
+// record payloads looks like to this build.
+func asOldContainer(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, oldSnapMagic)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOlderContainerIsStale: a SPEXSNP1 file loads as ErrStale, its
+// index sidecar is not served, List skips it, and a campaign over it
+// falls back to a full run whose status names the older container
+// version — then rewrites the file so the next run replays.
+func TestOlderContainerIsStale(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := &storeSystem{}
+	c := basicC("p")
+	set := mkSet(c)
+	ms := misconfs(c, 6)
+	if _, _, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set, ms, inject.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	// Keep the file's mtime, as a store written by the older build
+	// would: its index sidecar then still matches by identity.
+	fi, err := os.Stat(store.Path(sys.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	asOldContainer(t, store.Path(sys.Name()))
+	if err := os.Chtimes(store.Path(sys.Name()), fi.ModTime(), fi.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.LoadIndex(sys.Name()); !errors.Is(err, ErrStale) {
+		t.Fatalf("LoadIndex over a SPEXSNP1 file = %v, want ErrStale", err)
+	}
+
+	if _, err := store.Load(sys.Name()); !errors.Is(err, ErrStale) {
+		t.Fatalf("Load of a SPEXSNP1 file = %v, want ErrStale", err)
+	}
+	if names, err := store.List(); err != nil || len(names) != 0 {
+		t.Fatalf("List over a SPEXSNP1 store = %v, %v; want it skipped", names, err)
+	}
+	if _, err := store.Snapshots(); !errors.Is(err, ErrStale) || !strings.Contains(err.Error(), store.Path(sys.Name())) {
+		t.Fatalf("Snapshots over a SPEXSNP1 store = %v, want a stale error naming the file", err)
+	}
+	if _, err := OpenSnapshotIter(store.Path(sys.Name()), sys.Name()); !errors.Is(err, ErrStale) {
+		t.Fatalf("OpenSnapshotIter of a SPEXSNP1 file = %v, want ErrStale", err)
+	}
+
+	boots := sys.boots.Load()
+	_, st, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set, ms, inject.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Replayed || !strings.Contains(st.Fallback, "older container version") {
+		t.Fatalf("status = %+v, want an older-container fallback", st)
+	}
+	if got := sys.boots.Load() - boots; got != 6 {
+		t.Fatalf("fallback booted %d times, want the full 6", got)
+	}
+	rep, st, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set, ms, inject.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Replayed || rep.Replayed != 6 {
+		t.Fatalf("run after the rewrite: status %+v, %d replayed; want all 6", st, rep.Replayed)
+	}
+}
+
+// sameRecords reports how two decoded snapshots differ, or "".
+func sameRecords(a, b *Snapshot) string {
+	if a.Schema != b.Schema || a.System != b.System || a.Options != b.Options ||
+		a.SetFingerprint != b.SetFingerprint || !a.SavedAt.Equal(b.SavedAt) {
+		return fmt.Sprintf("headers differ: %+v vs %+v", a, b)
+	}
+	sa, _ := json.Marshal(a.Constraints)
+	sb, _ := json.Marshal(b.Constraints)
+	if !bytes.Equal(sa, sb) {
+		return fmt.Sprintf("constraint sets differ:\n%s\n%s", sa, sb)
+	}
+	if len(a.Outcomes) != len(b.Outcomes) {
+		return fmt.Sprintf("%d records vs %d", len(a.Outcomes), len(b.Outcomes))
+	}
+	for k, oa := range a.Outcomes {
+		ob, ok := b.Outcomes[k]
+		if !ok {
+			return fmt.Sprintf("record %q missing", k)
+		}
+		ja, _ := json.Marshal(oa)
+		jb, _ := json.Marshal(ob)
+		if !bytes.Equal(ja, jb) {
+			return fmt.Sprintf("record %q differs:\n%s\n%s", k, ja, jb)
+		}
+		if !a.Stamps[k].Equal(b.Stamps[k]) {
+			return fmt.Sprintf("record %q stamp %v vs %v", k, a.Stamps[k], b.Stamps[k])
+		}
+	}
+	return ""
+}
+
+// FuzzSnapshotDecode: the container decoder never panics on arbitrary
+// bytes, and whatever it accepts re-encodes to the same records. Each
+// input is decoded twice: as given, and with its last four bytes
+// replaced by the CRC of the rest, so mutations inside the records get
+// past the trailer check and reach the round trip.
+func FuzzSnapshotDecode(f *testing.F) {
+	set := mkSet(basicC("p"), rangeC("q", 1))
+	snap := New("storefake", set, inject.DefaultOptions(), fixtureOutcomes(f, 6))
+	data, err := encodeBinary(snap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	for _, cut := range []int{0, len(snapMagic), len(snapMagic) + 1, len(data) / 3, len(data) / 2, len(data) - 5, len(data) - 1} {
+		f.Add(data[:cut])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := decodeBinarySnapshot(data, "storefake"); err == nil {
+			roundTrip(t, data)
+		}
+		if len(data) < 4 {
+			return
+		}
+		fixed := append([]byte(nil), data...)
+		body := len(fixed) - 4
+		binary.LittleEndian.PutUint32(fixed[body:], crc32.ChecksumIEEE(fixed[:body]))
+		if _, err := decodeBinarySnapshot(fixed, "storefake"); err == nil {
+			roundTrip(t, fixed)
+		}
+	})
+}
+
+// roundTrip re-encodes a snapshot that decoded and checks the records
+// survive.
+func roundTrip(t *testing.T, data []byte) {
+	t.Helper()
+	got, err := decodeBinarySnapshot(data, "storefake")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := encodeBinary(got)
+	if err != nil {
+		t.Fatalf("a decoded snapshot does not re-encode: %v", err)
+	}
+	back, err := decodeBinarySnapshot(again, "storefake")
+	if err != nil {
+		t.Fatalf("a re-encoded snapshot does not decode: %v", err)
+	}
+	if diff := sameRecords(got, back); diff != "" {
+		t.Fatal(diff)
 	}
 }

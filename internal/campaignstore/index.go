@@ -185,6 +185,9 @@ func (s *Store) Snapshots() (map[string]string, error) {
 	for _, name := range names {
 		path := filepath.Join(s.dir, name)
 		system, err := readSystemName(path)
+		if errors.Is(err, ErrStale) {
+			return nil, err // names the file and the container version
+		}
 		if err != nil || system == "" {
 			return nil, fmt.Errorf("campaignstore: corrupt snapshot for %s", name)
 		}
@@ -229,6 +232,11 @@ func (s *Store) SnapshotInfo(system string) (string, os.FileInfo, error) {
 func (s *Store) LoadIndex(system string) (*outcomeindex.System, error) {
 	path, fi, err := s.SnapshotInfo(system)
 	if err != nil {
+		return nil, err
+	}
+	// The sidecar is matched by file identity, which cannot tell that
+	// the snapshot is in a container version this build no longer reads.
+	if err := refuseOldContainer(path, system); err != nil {
 		return nil, err
 	}
 	ipath := s.IndexPath(system)

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -92,7 +93,7 @@ func (b BasicType) String() string {
 	if s, ok := basicNames[b]; ok {
 		return s
 	}
-	return fmt.Sprintf("BasicType(%d)", int(b))
+	return "BasicType(" + strconv.Itoa(int(b)) + ")"
 }
 
 // Numeric reports whether the basic type is an integer or floating-point
@@ -308,16 +309,16 @@ func (iv Interval) Contains(v int64) bool {
 func (iv Interval) String() string {
 	lo, hi := "-inf", "+inf"
 	if iv.HasMin {
-		lo = fmt.Sprintf("%d", iv.Min)
+		lo = strconv.FormatInt(iv.Min, 10)
 	}
 	if iv.HasMax {
-		hi = fmt.Sprintf("%d", iv.Max)
+		hi = strconv.FormatInt(iv.Max, 10)
 	}
 	v := "invalid"
 	if iv.Valid {
 		v = "valid"
 	}
-	return fmt.Sprintf("[%s,%s](%s)", lo, hi, v)
+	return "[" + lo + "," + hi + "](" + v + ")"
 }
 
 // EnumValue is one acceptable (or explicitly rejected) value of an
@@ -386,13 +387,15 @@ type Constraint struct {
 	Loc SourceLoc
 }
 
-// ID returns a stable identity string used for deduplication.
+// ID returns a stable identity string used for deduplication. It sits
+// on every hot path that keys by constraint (Set.Add, the diff,
+// inject.CacheKey), so it concatenates instead of going through fmt.
 func (c *Constraint) ID() string {
 	switch c.Kind {
 	case KindBasicType:
-		return fmt.Sprintf("basic|%s|%s", c.Param, c.Basic)
+		return "basic|" + c.Param + "|" + c.Basic.String()
 	case KindSemanticType:
-		return fmt.Sprintf("sem|%s|%s", c.Param, c.Semantic)
+		return "sem|" + c.Param + "|" + string(c.Semantic)
 	case KindRange:
 		parts := make([]string, 0, len(c.Intervals)+len(c.Enum))
 		for _, iv := range c.Intervals {
@@ -402,13 +405,13 @@ func (c *Constraint) ID() string {
 			parts = append(parts, e.Value)
 		}
 		sort.Strings(parts)
-		return fmt.Sprintf("range|%s|%s", c.Param, strings.Join(parts, ","))
+		return "range|" + c.Param + "|" + strings.Join(parts, ",")
 	case KindControlDep:
-		return fmt.Sprintf("dep|%s|%s|%s|%s", c.Param, c.Peer, c.Cond, c.Value)
+		return "dep|" + c.Param + "|" + c.Peer + "|" + string(c.Cond) + "|" + c.Value
 	case KindValueRel:
-		return fmt.Sprintf("rel|%s|%s|%s", c.Param, c.Rel, c.Peer)
+		return "rel|" + c.Param + "|" + string(c.Rel) + "|" + c.Peer
 	}
-	return fmt.Sprintf("?|%s", c.Param)
+	return "?|" + c.Param
 }
 
 // String renders the constraint in the notation of the paper.
@@ -555,9 +558,27 @@ type setJSON struct {
 
 // MarshalJSON renders the set in its stable serialized form.
 func (s *Set) MarshalJSON() ([]byte, error) {
-	cs := append([]*Constraint(nil), s.Constraints...)
-	sort.Slice(cs, func(i, j int) bool { return cs[i].ID() < cs[j].ID() })
-	return json.Marshal(setJSON{System: s.System, Constraints: cs})
+	return json.Marshal(setJSON{System: s.System, Constraints: s.SortedByID()})
+}
+
+// SortedByID returns a copy of the set's constraints ordered by
+// identity — the stable order every serialized form of a set uses. Each
+// ID is computed once, not once per comparison.
+func (s *Set) SortedByID() []*Constraint {
+	type byID struct {
+		id string
+		c  *Constraint
+	}
+	es := make([]byID, len(s.Constraints))
+	for i, c := range s.Constraints {
+		es[i] = byID{c.ID(), c}
+	}
+	sort.Slice(es, func(i, j int) bool { return es[i].id < es[j].id })
+	cs := make([]*Constraint, len(es))
+	for i, e := range es {
+		cs[i] = e.c
+	}
+	return cs
 }
 
 // UnmarshalJSON rebuilds the set, including its deduplication index.

@@ -2,8 +2,8 @@ package inject
 
 import (
 	"context"
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"spex/internal/confgen"
@@ -101,7 +101,12 @@ func CacheKey(m confgen.Misconf) string {
 	// Every free-form component is length-prefixed so injected values
 	// containing the separator characters cannot collide two distinct
 	// misconfigurations into one key.
-	field := func(s string) { fmt.Fprintf(&b, "|%d:%s", len(s), s) }
+	field := func(s string) {
+		b.WriteByte('|')
+		b.WriteString(strconv.Itoa(len(s)))
+		b.WriteByte(':')
+		b.WriteString(s)
+	}
 	if m.Violates != nil {
 		field(m.Violates.ID())
 	} else {
@@ -118,7 +123,10 @@ func CacheKey(m confgen.Misconf) string {
 		field(m.Values[k])
 	}
 	for _, a := range m.Env {
-		fmt.Fprintf(&b, "|env:%d:%d", a.Kind, a.Port)
+		b.WriteString("|env:")
+		b.WriteString(strconv.Itoa(int(a.Kind)))
+		b.WriteByte(':')
+		b.WriteString(strconv.Itoa(a.Port))
 		field(a.Path)
 	}
 	return b.String()

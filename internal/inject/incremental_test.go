@@ -99,3 +99,51 @@ func TestDiffIdenticalSetsNeedNoRetest(t *testing.T) {
 		t.Errorf("no-op revision selected %d retests", len(re))
 	}
 }
+
+// TestIdentityStringsPinned pins constraint IDs and CacheKey to their
+// exact bytes. Both are persisted (snapshot keys, set fingerprints), so
+// any change to how they are built must leave the strings unchanged.
+func TestIdentityStringsPinned(t *testing.T) {
+	rng := &constraint.Constraint{Kind: constraint.KindRange, Param: "port",
+		Intervals: []constraint.Interval{
+			{HasMin: true, Min: 1, HasMax: true, Max: 65535, Valid: true},
+			{HasMax: true, Max: 0},
+			{HasMin: true, Min: -5},
+		},
+		Enum: []constraint.EnumValue{{Value: "on", Valid: true}, {Value: "Off"}}}
+	ids := []struct {
+		c    *constraint.Constraint
+		want string
+	}{
+		{basic("threads", constraint.BasicInt32), "basic|threads|int32"},
+		{basic("odd", constraint.BasicType(99)), "basic|odd|BasicType(99)"},
+		{&constraint.Constraint{Kind: constraint.KindSemanticType, Param: "log_file", Semantic: constraint.SemFile},
+			"sem|log_file|FILE"},
+		{rng, "range|port|Off,[-5,+inf](invalid),[-inf,0](invalid),[1,65535](valid),on"},
+		{&constraint.Constraint{Kind: constraint.KindControlDep, Param: "ssl_cert", Peer: "ssl", Cond: constraint.OpEQ, Value: "on"},
+			"dep|ssl_cert|ssl|=|on"},
+		{&constraint.Constraint{Kind: constraint.KindValueRel, Param: "max_len", Rel: constraint.OpGT, Peer: "min_len"},
+			"rel|max_len|>|min_len"},
+		{&constraint.Constraint{Kind: constraint.Kind(7), Param: "mystery"}, "?|mystery"},
+	}
+	for _, tc := range ids {
+		if got := tc.c.ID(); got != tc.want {
+			t.Errorf("ID() = %q, want %q", got, tc.want)
+		}
+	}
+
+	m := confgen.Misconf{ID: "m|1", Violates: rng,
+		Values: map[string]string{"port": "70000", "a:b": "x|y"},
+		Env: []confgen.EnvAction{
+			{Kind: confgen.EnvOccupyPort, Port: 8080},
+			{Kind: confgen.EnvMakeDir, Path: "/var/run/d"},
+		}}
+	want := "|71:range|port|Off,[-5,+inf](invalid),[-inf,0](invalid),[1,65535](valid),on" +
+		"|3:m|1|3:a:b|3:x|y|4:port|5:70000|env:0:8080|0:|env:1:0|10:/var/run/d"
+	if got := CacheKey(m); got != want {
+		t.Errorf("CacheKey = %q, want %q", got, want)
+	}
+	if got := CacheKey(confgen.Misconf{ID: "bare"}); got != "|0:|4:bare" {
+		t.Errorf("CacheKey(no constraint) = %q", got)
+	}
+}

@@ -177,9 +177,13 @@ func TestBusNamespaceIsolation(t *testing.T) {
 	_, ts := daemon(t, server.Config{StateDir: t.TempDir()})
 
 	// Create tenant2 first so its filtered stream can attach (reads on
-	// an unknown namespace 404).
-	doc2 := postJobAt(t, ts.URL+"/v1/ns/tenant2/jobs", `{"systems": ["ldapd"], "workers": 4}`)
+	// an unknown namespace 404). The stream carries live events only, so
+	// the tenant2 job it waits for is posted after it attaches: one
+	// posted before could finish first, and its terminal event would
+	// never reach the stream.
+	postJobAt(t, ts.URL+"/v1/ns/tenant2/jobs", `{"systems": ["ldapd"], "workers": 4}`)
 	c := collectBus(t, ts.URL+"/v1/ns/tenant2/events", 0)
+	doc2 := postJobAt(t, ts.URL+"/v1/ns/tenant2/jobs", `{"systems": ["ldapd"], "workers": 4}`)
 	doc1 := postJob(t, ts.URL, `{"systems": ["proxyd"], "workers": 4}`)
 
 	waitTerminal(t, ts.URL, doc1.ID, time.Minute)

@@ -182,7 +182,8 @@ type job struct {
 	// never published on this daemon's bus.
 	firstSeq, lastSeq uint64
 	// trace is the job's span recorder, set when the job starts
-	// running; nil for journaled history from previous daemon runs
+	// running and dropped once the finished trace is journaled; nil for
+	// finished jobs and for journaled history from previous daemon runs
 	// (their trace, if any, is read back from disk).
 	trace *traceRecorder
 }

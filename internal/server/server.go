@@ -814,11 +814,24 @@ func (s *Server) runJob(ns *namespace, j *job, systems []string) {
 	j.doc.Steals, j.doc.Spawns, j.doc.Retries = stats.steals, stats.spawns, stats.retries
 	j.mu.Unlock()
 	s.finishJob(ns, j, state, msg)
-	tdoc := rec.finish(state, time.Now().UTC())
-	if err := campaignstore.WriteJSON(tracePath(ns.dir, doc.ID), tdoc); err != nil {
-		s.logger.Error("trace write failed", "job", doc.ID, "namespace", ns.name, "err", err)
-	}
+	s.journalTrace(ns, j, rec.finish(state, time.Now().UTC()))
 	s.logger.Info("job finished", "job", doc.ID, "namespace", ns.name, "state", state)
+}
+
+// journalTrace persists a finished job's trace next to its journal
+// entry and then drops the recorder, which holds up to maxMisconfSpans
+// spans per system: GET /v1/jobs/{id}/trace serves the journaled
+// document from then on, so a finished job no longer pins its span
+// tree for the daemon's whole life. A failed write keeps the recorder,
+// which stays the only copy.
+func (s *Server) journalTrace(ns *namespace, j *job, tdoc obs.TraceDoc) {
+	if err := campaignstore.WriteJSON(tracePath(ns.dir, tdoc.Job), tdoc); err != nil {
+		s.logger.Error("trace write failed", "job", tdoc.Job, "namespace", ns.name, "err", err)
+		return
+	}
+	j.mu.Lock()
+	j.trace = nil
+	j.mu.Unlock()
 }
 
 // publishState puts a job lifecycle transition on the bus and returns
@@ -1372,9 +1385,10 @@ func (s *Server) handleNamespaces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"namespaces": out})
 }
 
-// handleJobTrace serves a job's span tree: live from the recorder for
-// jobs run by this daemon, from the persisted trace document for
-// journaled history. ?format=text renders the indented tree.
+// handleJobTrace serves a job's span tree: live from the recorder while
+// the job runs (or when its trace could not be journaled), otherwise
+// from the persisted trace document. ?format=text renders the indented
+// tree.
 func (s *Server) handleJobTrace(ns *namespace, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j := s.lookup(ns, id)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -612,5 +613,34 @@ func TestMergeSkipsShardsWithoutTheSystem(t *testing.T) {
 		if st.System == "synth" && st.Shards != 1 {
 			t.Errorf("synth merged from %d shards, want 1", st.Shards)
 		}
+	}
+}
+
+// TestMergeRejectsOlderContainer: a shard snapshot in the first
+// container version (SPEXSNP1) is stale, and the merge fails with an
+// error naming the file instead of skipping the shard's data.
+func TestMergeRejectsOlderContainer(t *testing.T) {
+	set := synthSet("p")
+	m := synthMisconf("m0", set.Constraints[0])
+	dir := t.TempDir()
+	saveSnapshot(t, dir, set, inject.DefaultOptions(),
+		map[string]inject.Outcome{inject.CacheKey(m): {Misconf: m}}, time.Now().UTC())
+	store, err := campaignstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := store.Path("synth")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "SPEXSNP1")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = mergeInto(t, t.TempDir(), []string{dir})
+	if !errors.Is(err, campaignstore.ErrStale) || !strings.Contains(err.Error(), path) ||
+		!strings.Contains(err.Error(), "older container version") {
+		t.Errorf("Merge over a SPEXSNP1 shard = %v, want a stale error naming %s", err, path)
 	}
 }

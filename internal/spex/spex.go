@@ -148,9 +148,11 @@ func (d *deriver) params() []string {
 
 func (d *deriver) obsFor(param string, kind dataflow.ObsKind) []dataflow.Obs {
 	var out []dataflow.Obs
-	for _, o := range d.obs {
-		if o.Param == param && o.Kind == kind {
-			out = append(out, o)
+	// Range by index: an Obs is large, and copying every one to test
+	// two fields dominated this loop.
+	for i := range d.obs {
+		if d.obs[i].Param == param && d.obs[i].Kind == kind {
+			out = append(out, d.obs[i])
 		}
 	}
 	return out
