@@ -54,9 +54,13 @@
 // report.AnalyzeOptions.StateDir); stores written by the previous
 // JSON format load transparently and migrate on their next save.
 //
-// Each run loads the snapshot, Diffs a fresh inference against the
+// Each run loads the snapshot, Diffs the current inference against the
 // stored set, re-executes only the delta-selected misconfigurations,
-// and saves the updated snapshot. Loading is fail-safe by construction:
+// and saves the updated snapshot. Inference is a pure function of each
+// target's corpus, so spex.InferSystem runs it once per process and
+// memoises it under a digest of its inputs: a long-lived spexd, or any
+// driver that analyses more than once, infers each corpus once.
+// Loading is fail-safe by construction:
 // the snapshot embeds a schema fingerprint covering the store layout
 // version and every encoding the data depends on (env-action kinds,
 // reaction values, constraint kinds), plus the identity of the

@@ -8,6 +8,7 @@
 package apispec
 
 import (
+	"sort"
 	"strings"
 
 	"spex/internal/constraint"
@@ -67,7 +68,7 @@ func New() *DB {
 	return db
 }
 
-// NewEmpty returns a DB with no entries (used in tests).
+// NewEmpty returns a DB with no entries.
 func NewEmpty() *DB { return &DB{funcs: make(map[string]*FuncSpec)} }
 
 // Register adds or replaces a function spec. This is the "import your own
@@ -76,6 +77,16 @@ func (db *DB) Register(f *FuncSpec) { db.funcs[f.Name] = f }
 
 // Len returns the number of registered specs.
 func (db *DB) Len() int { return len(db.funcs) }
+
+// Specs returns the registered specs sorted by name.
+func (db *DB) Specs() []*FuncSpec {
+	out := make([]*FuncSpec, 0, len(db.funcs))
+	for _, f := range db.funcs {
+		out = append(out, f)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
 
 // Lookup resolves a call name to a spec. For dotted names the full name is
 // tried first, then the "Recv.Method" suffix, then the bare method name.

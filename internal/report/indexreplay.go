@@ -17,12 +17,13 @@ import (
 
 // ReplayFromIndex builds the full analysis from the store's outcome
 // indexes instead of its snapshots — the daemon's table-serving fast
-// path. Inference, audits and accuracy are recomputed exactly as
-// ReplayFromStore does (they never touch the store); the campaign side
-// is reconstructed from each system's index docs, which carry the
-// complete projection the tables consume (reaction, error status, and
-// the violated constraint's source location — the inputs of
-// Report.CountByReaction and Report.UniqueLocations). The rendered
+// path. Inference, audits and accuracy come from the same
+// spex.InferSystem results ReplayFromStore uses (they never touch the
+// store); the campaign side is reconstructed from each system's index
+// docs, which carry the complete projection the tables consume
+// (reaction, error status, and the violated constraint's source
+// location — the inputs of Report.CountByReaction and
+// Report.UniqueLocations). The rendered
 // tables are therefore byte-identical to ReplayFromStore's and to
 // `spexeval -state`, without parsing a single outcome record: on a warm
 // sidecar the store read is one JSON index per system, and the

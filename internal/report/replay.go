@@ -24,10 +24,11 @@ var ErrStateIncomplete = errors.New("report: campaign state incomplete")
 
 // ReplayFromStore builds the full seven-system analysis purely from
 // persisted campaign snapshots, without executing a single
-// misconfiguration and without writing anything: inference is
-// recomputed (it is deterministic and cheap), every campaign outcome
-// replays from the store, and the audits and accuracy scores derive
-// from the fresh inference. The resulting tables are byte-identical to
+// misconfiguration and without writing anything: inference comes from
+// spex.InferSystem (run once per process and memoised; it is a pure
+// function of each target's corpus), every campaign outcome replays
+// from the store, and the audits and accuracy scores derive from that
+// inference. The resulting tables are byte-identical to
 // a `spexeval -state <dir>` run over the same store, because both
 // reassemble replayed outcomes through inject.Assemble.
 //

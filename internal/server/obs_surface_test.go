@@ -214,6 +214,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"spex_http_requests_total",
 		"spex_jobs_total",
 		"spex_job_seconds",
+		"spex_infer_memo_hits_total",
+		"spex_infer_memo_misses_total",
+		"spex_infer_seconds",
 	} {
 		if !families[want] {
 			t.Errorf("/metrics missing family %s", want)

@@ -1,0 +1,9 @@
+package spex
+
+import (
+	"testing"
+
+	"spex/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

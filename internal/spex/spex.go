@@ -45,7 +45,8 @@ type UnsafeUse struct {
 	Loc   constraint.SourceLoc
 }
 
-// Result is the outcome of analyzing one target system.
+// Result is the outcome of analyzing one target system. Results from
+// InferSystem are shared across the process and read-only.
 type Result struct {
 	System string
 	Set    *constraint.Set
@@ -292,13 +293,6 @@ func (d *deriver) semanticTypes() {
 			for _, c := range byType {
 				c.CaseKnown, c.CaseSensitive = true, !insens
 			}
-			if len(byType) == 0 {
-				// Pure enum parameter with no semantic API: still record
-				// case semantics on the range constraint (built later);
-				// store a marker via a dedicated semantic-less constraint
-				// is avoided — ranges carry it.
-				_ = insens
-			}
 		}
 	}
 }
@@ -414,13 +408,6 @@ func mergeIntervals(in []constraint.Interval) []constraint.Interval {
 			continue
 		}
 		out = append(out, iv)
-	}
-	if len(out) > 0 {
-		last := &out[len(out)-1]
-		if !last.HasMax {
-			// keep open end
-			_ = last
-		}
 	}
 	return out
 }
@@ -624,7 +611,9 @@ func (d *deriver) unsafeUses() {
 
 // APIImporter is implemented by targets that ship proprietary library
 // APIs; SPEX imports them into the knowledge base before inference (the
-// paper's customization hook, used for Storage-A).
+// paper's customization hook, used for Storage-A). ImportAPIs registers
+// its specs into an empty DB, and InferSystem overlays them on the
+// standard knowledge base.
 type APIImporter interface {
 	ImportAPIs(db *apispec.DB)
 }
@@ -632,16 +621,41 @@ type APIImporter interface {
 // InferSystem analyzes a simulated target system with the standard
 // knowledge base (plus the target's own imported APIs) and default
 // options.
+//
+// Inference is a pure function of those inputs, so InferSystem computes
+// it once per process: results are memoised under a digest of the
+// system's name, sources, annotations, manual and imported API specs.
+// The first call for a digest runs Infer; concurrent calls for the same
+// digest wait for that run instead of starting another. A failed or
+// panicking run is not memoised, so the next call runs Infer again.
+//
+// The returned Result, including its Set, Pairs, Obs and Unsafe, is
+// shared by every caller in the process and must be treated as
+// read-only. Callers that need to modify a result call Infer, which
+// always returns a fresh one.
 func InferSystem(sys sim.System) (*Result, error) {
-	db := apispec.New()
+	name, sources, annText, manual := sys.Name(), sys.Sources(), sys.Annotations(), sys.Manual()
+	imported := apispec.NewEmpty()
 	if imp, ok := sys.(APIImporter); ok {
-		imp.ImportAPIs(db)
+		imp.ImportAPIs(imported)
 	}
-	return Infer(sys.Name(), sys.Sources(), sys.Annotations(), sys.Manual(), db, DefaultOptions())
+	specs := imported.Specs()
+	key, err := inputDigest(name, sources, annText, manual, specs)
+	if err != nil {
+		return nil, err
+	}
+	return memoize(key, name, func() (*Result, error) {
+		db := apispec.New()
+		for _, f := range specs {
+			db.Register(f)
+		}
+		return Infer(name, sources, annText, manual, db, DefaultOptions())
+	})
 }
 
 // InferAll analyzes several target systems through the engine scheduler,
-// workers wide (0 = one per CPU). Results come back in input order; the
+// workers wide (0 = one per CPU), each through InferSystem, so its
+// results are shared and read-only. Results come back in input order; the
 // first inference error (in input order) aborts with that error, as the
 // sequential loop it replaces did.
 func InferAll(ctx context.Context, systems []sim.System, workers int) ([]*Result, error) {
