@@ -290,13 +290,19 @@
 // /v1/query answers cross-system misconfiguration queries (?param=,
 // ?kind=, ?reaction=, ?min-systems=N, ?all=1), and GET /v1/tables/{n}
 // renders the paper's evaluation tables from an index-backed replay
-// (report.ReplayFromIndex + the structured report.Table encoding) —
-// the text form is byte-identical to `spexeval -state <dir> -table n`
-// over the same store, because the index docs carry exactly the fields
-// the table builders consume and both render through
-// report.RenderTableText. Every read endpoint carries an ETag derived
-// from the snapshot fingerprint(s) it serves and answers If-None-Match
-// with 304 Not Modified.
+// (report.IndexReplay + the structured report.Table encoding) — the
+// text form is byte-identical to `spexeval -state <dir> -table n` over
+// the same store, because the index docs carry exactly the fields the
+// table builders consume and both render through
+// report.RenderTableText. The replay is incremental: each namespace
+// keeps every system's analysis keyed by its inference result and
+// snapshot fingerprint, so after a job wrote one system the next table
+// read validates and rebuilds that system alone (confgen for one
+// target, not seven) and reuses the other six; a replay-only job,
+// whose save keeps the fingerprint, rebuilds nothing. The ETag and the
+// analysis come from one read of the indexes. Every read endpoint
+// carries an ETag derived from the snapshot fingerprint(s) it serves
+// and answers If-None-Match with 304 Not Modified.
 //
 // # Binary snapshot format and the outcome index
 //
@@ -347,13 +353,17 @@
 // that folds the fingerprint, and it is always derived data: the
 // sidecar records the snapshot file's name, size and mtime, one stat
 // call validates it, and any mismatch (or a deleted sidecar) triggers
-// a rebuild from the snapshot. The daemon layers an in-memory copy on
-// top with the same (path, size, mtime) revalidation per request, so
-// cache invalidation needs no coupling to the job lifecycle: a save's
-// atomic rename is the invalidation. `spexeval -index -state <dir>`
-// renders all tables and figures from the indexes alone — read-only,
-// no writer lock, no snapshot record parsed — byte-identical to a
-// -state replay (report.ReplayFromIndex).
+// a rebuild from the snapshot. The Store itself keeps each system's
+// index in memory under the same (path, size, mtime) check, and saves
+// write through: the streaming writer hands the index it just built to
+// that cache, so a save never reads its own sidecar back and a read
+// after an in-process save always sees it, even when a coarse mtime
+// leaves the file's identity unchanged. The daemon reads through the
+// Store and keeps no index copy of its own. Another process's writes
+// are seen through the stat check alone. `spexeval -index -state
+// <dir>` renders all tables and figures from the indexes alone —
+// read-only, no writer lock, no snapshot record parsed — byte-identical
+// to a -state replay (report.ReplayFromIndex).
 //
 // # Checked invariants (spexlint)
 //

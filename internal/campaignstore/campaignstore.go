@@ -182,6 +182,8 @@ func New(system string, set *constraint.Set, opts inject.Options, outcomes map[s
 // Store is a state directory holding one snapshot file per system.
 type Store struct {
 	dir string
+	// idx is the in-memory outcome-index cache behind LoadIndex.
+	idx indexCache
 }
 
 // Open prepares a store rooted at dir, creating the directory if
@@ -493,8 +495,9 @@ func (s *Store) saveLegacyJSON(snap *Snapshot) error {
 	}
 	// The index sidecar is derived data keyed by the snapshot's stat
 	// identity — a stale one fails validation and rebuilds — so its
-	// removal genuinely is best-effort.
+	// removal genuinely is best-effort. The in-memory copy goes too.
 	_ = os.Remove(s.IndexPath(snap.System))
+	s.idx.put(snap.System, fileID{}, nil)
 	return nil
 }
 

@@ -261,11 +261,22 @@ func TestLoadIndexSidecar(t *testing.T) {
 	}
 
 	// Deleting the sidecar forces a rebuild from the snapshot with the
-	// same content, and the rebuild rewrites the sidecar.
+	// same content, and the rebuild rewrites the sidecar. Each disk
+	// read below goes through a fresh Store, as another process's
+	// would: the saving Store serves its written-through index from
+	// memory.
 	if err := os.Remove(store.IndexPath("storefake")); err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := store.LoadIndex("storefake")
+	reopen := func() *Store {
+		t.Helper()
+		fresh, err := Open(store.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fresh
+	}
+	rebuilt, err := reopen().LoadIndex("storefake")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +293,7 @@ func TestLoadIndexSidecar(t *testing.T) {
 	if err := os.WriteFile(store.IndexPath("storefake"), []byte(`{"version":1,"snap":"other","sys":{"system":"storefake"}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	again, err := store.LoadIndex("storefake")
+	again, err := reopen().LoadIndex("storefake")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,13 +334,17 @@ func TestOlderContainerIsStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Keep the file's mtime, as a store written by the older build
-	// would: its index sidecar then still matches by identity.
+	// would: its index sidecar then still matches by identity. The
+	// older build's store is opened by a new process, so reopen it.
 	fi, err := os.Stat(store.Path(sys.Name()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	asOldContainer(t, store.Path(sys.Name()))
 	if err := os.Chtimes(store.Path(sys.Name()), fi.ModTime(), fi.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if store, err = Open(store.dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.LoadIndex(sys.Name()); !errors.Is(err, ErrStale) {

@@ -1,13 +1,14 @@
-// Streaming snapshot writes and the outcome-index sidecar. The
-// StreamWriter is the one write path for binary snapshots — Save and
-// the shard merge both go through it — and it maintains two derived
-// artifacts as records pass through: the snapshot fingerprint (folded
-// by the encoder) and the system's outcome index, persisted beside the
-// snapshot as <system>.campaign.idx. The sidecar is keyed by the
-// snapshot file's name, size and mtime; LoadIndex validates that
-// identity with one stat call and rebuilds from the snapshot when it
-// does not hold, so a sidecar can always be deleted (or go stale via a
-// foreign writer) without any loss.
+// Streaming snapshot writes and the outcome index. The StreamWriter is
+// the one write path for binary snapshots — Save and the shard merge
+// both go through it — and it maintains two derived artifacts as
+// records pass through: the snapshot fingerprint (folded by the
+// encoder) and the system's outcome index. The index is persisted
+// beside the snapshot as <system>.campaign.idx and kept in the Store's
+// memory. Both copies are keyed by the snapshot file's name, size and
+// mtime; LoadIndex validates that identity with one stat call and
+// falls back to the sidecar, then to a rebuild from the snapshot, when
+// it does not hold, so a sidecar can always be deleted (or go stale
+// via a foreign writer) without any loss.
 package campaignstore
 
 import (
@@ -16,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"spex/internal/inject"
@@ -121,10 +123,11 @@ func (w *StreamWriter) Abort() {
 
 // Close finalizes the container (terminator, count, CRC), fsyncs,
 // renames it over the final path, removes any legacy JSON file the
-// save supersedes, rewrites the index sidecar, and returns the
-// snapshot fingerprint. The fsync-before-rename contract is the same
-// as the JSON era's: the final path only ever holds a complete
-// snapshot.
+// save supersedes, rewrites the index sidecar, puts the same index in
+// the store's cache (so the next LoadIndex reads nothing back), and
+// returns the snapshot fingerprint. The fsync-before-rename contract
+// is the same as the JSON era's: the final path only ever holds a
+// complete snapshot.
 func (w *StreamWriter) Close() (string, error) {
 	if w.done {
 		return "", errors.New("campaignstore: stream writer already closed")
@@ -161,13 +164,12 @@ func (w *StreamWriter) Close() (string, error) {
 	// LoadIndex reconstructs from the snapshot if this write fails.
 	if fi, err := os.Stat(final); err == nil {
 		w.idx.SetFingerprint(fp)
-		_ = outcomeindex.WriteFile(w.store.IndexPath(w.hdr.System), &outcomeindex.File{
-			Version:   outcomeindex.Version,
-			Snap:      filepath.Base(final),
-			SnapSize:  fi.Size(),
-			SnapMTime: fi.ModTime().UnixNano(),
-			Sys:       w.idx.Finish(),
-		})
+		id := fileIDOf(final, fi)
+		sys := w.idx.Finish()
+		_ = outcomeindex.WriteFile(w.store.IndexPath(w.hdr.System), id.sidecar(sys))
+		w.store.idx.put(w.hdr.System, id, sys)
+	} else {
+		w.store.idx.put(w.hdr.System, fileID{}, nil)
 	}
 	return fp, nil
 }
@@ -203,9 +205,9 @@ func (s *Store) Snapshots() (map[string]string, error) {
 
 // SnapshotInfo returns the path and stat of the snapshot file Load
 // would read for the system (the binary file, or the legacy JSON file
-// of a not-yet-migrated store). The (size, mtime) pair is the cache key
-// the daemon's read path invalidates on: every save is an atomic rename
-// that changes both.
+// of a not-yet-migrated store). The (path, size, mtime) triple is the
+// identity LoadIndex revalidates its in-memory and sidecar indexes
+// against.
 func (s *Store) SnapshotInfo(system string) (string, os.FileInfo, error) {
 	p := s.Path(system)
 	fi, err := os.Stat(p)
@@ -222,27 +224,62 @@ func (s *Store) SnapshotInfo(system string) (string, os.FileInfo, error) {
 	return p, fi, nil
 }
 
-// LoadIndex returns the system's outcome index: the persisted sidecar
-// when it matches the snapshot on disk, otherwise a rebuild from the
-// snapshot (which also rewrites the sidecar, so the next read is
-// cheap). Errors mirror Load's — ErrNotExist when the system has no
-// snapshot, and any snapshot validation failure surfaces unchanged,
-// because an index must never outlive the fail-safe checks of the data
-// it summarizes.
+// LoadIndex returns the system's outcome index. The store keeps the
+// last index it loaded, rebuilt or saved per system in memory and
+// serves it while the snapshot file keeps the (path, size, mtime)
+// identity the index was derived from — one stat call per read. On a
+// mismatch it reads the persisted sidecar when that matches the
+// snapshot on disk, otherwise it rebuilds from the snapshot (which
+// also rewrites the sidecar, so the next process's read is cheap).
+// Errors mirror Load's — ErrNotExist when the system has no snapshot,
+// and any snapshot validation failure surfaces unchanged, because an
+// index must never outlive the fail-safe checks of the data it
+// summarizes.
+//
+// Saves through this Store write through: StreamWriter.Close installs
+// the index it built, so a read after an in-process save always
+// returns that save's index, even when two quick saves of equal size
+// leave the file's mtime unchanged. A write by another process (or
+// another Store on the same directory) is seen only through the stat
+// check, so on a file system with coarse mtimes a same-size foreign
+// rewrite can be served stale from memory until the file's identity
+// next changes.
+//
+// The returned index is shared with every other caller and must not
+// be modified.
 func (s *Store) LoadIndex(system string) (*outcomeindex.System, error) {
+	gen := s.idx.generation(system)
 	path, fi, err := s.SnapshotInfo(system)
 	if err != nil {
 		return nil, err
 	}
+	id := fileIDOf(path, fi)
+	if sys := s.idx.get(system, id); sys != nil {
+		mIndexHits.Inc()
+		return sys, nil
+	}
+	sys, err := s.readIndex(system, id)
+	if err != nil {
+		return nil, err
+	}
+	mIndexRebuilds.Inc()
+	s.idx.fill(system, gen, id, sys)
+	return sys, nil
+}
+
+// readIndex loads the system's index from disk: the sidecar when it
+// matches the snapshot identity id, otherwise a rebuild from the
+// snapshot that also rewrites the sidecar.
+func (s *Store) readIndex(system string, id fileID) (*outcomeindex.System, error) {
 	// The sidecar is matched by file identity, which cannot tell that
 	// the snapshot is in a container version this build no longer reads.
-	if err := refuseOldContainer(path, system); err != nil {
+	if err := refuseOldContainer(id.path, system); err != nil {
 		return nil, err
 	}
 	ipath := s.IndexPath(system)
 	if f, err := outcomeindex.ReadFile(ipath); err == nil &&
-		f.Snap == filepath.Base(path) && f.SnapSize == fi.Size() &&
-		f.SnapMTime == fi.ModTime().UnixNano() && f.Sys.System == system {
+		f.Snap == filepath.Base(id.path) && f.SnapSize == id.size &&
+		f.SnapMTime == id.mtime && f.Sys.System == system {
 		return f.Sys, nil
 	}
 	snap, err := s.Load(system)
@@ -260,14 +297,99 @@ func (s *Store) LoadIndex(system string) (*outcomeindex.System, error) {
 		Options:        snap.Options,
 		SetFingerprint: snap.SetFingerprint,
 	}, snap.Outcomes)
-	_ = outcomeindex.WriteFile(ipath, &outcomeindex.File{
-		Version:   outcomeindex.Version,
-		Snap:      filepath.Base(path),
-		SnapSize:  fi.Size(),
-		SnapMTime: fi.ModTime().UnixNano(),
-		Sys:       sys,
-	})
+	_ = outcomeindex.WriteFile(ipath, id.sidecar(sys))
 	return sys, nil
+}
+
+// fileID is a snapshot file's identity: the key both index copies are
+// validated against. Every save is an atomic rename, which gives the
+// path a new inode and (normally) a new mtime.
+type fileID struct {
+	path  string
+	size  int64
+	mtime int64
+}
+
+func fileIDOf(path string, fi os.FileInfo) fileID {
+	return fileID{path: path, size: fi.Size(), mtime: fi.ModTime().UnixNano()}
+}
+
+// sidecar wraps sys in the persisted index document for this snapshot.
+func (id fileID) sidecar(sys *outcomeindex.System) *outcomeindex.File {
+	return &outcomeindex.File{
+		Version:   outcomeindex.Version,
+		Snap:      filepath.Base(id.path),
+		SnapSize:  id.size,
+		SnapMTime: id.mtime,
+		Sys:       sys,
+	}
+}
+
+// indexCache is the Store's per-system index memory; its zero value is
+// empty and ready.
+type indexCache struct {
+	mu sync.Mutex
+	m  map[string]*indexSlot
+}
+
+// indexSlot is one system's cached index (nil when none) and the
+// snapshot file identity it was derived from. gen counts the saves
+// written through this Store: a read that misses records it before its
+// stat and installs what it loaded only if no save wrote through since,
+// so a slow disk read never overwrites a newer save's index.
+type indexSlot struct {
+	gen uint64
+	id  fileID
+	sys *outcomeindex.System
+}
+
+// slot returns the system's slot, creating it; c.mu is held.
+func (c *indexCache) slot(system string) *indexSlot {
+	if c.m == nil {
+		c.m = make(map[string]*indexSlot)
+	}
+	sl := c.m[system]
+	if sl == nil {
+		sl = &indexSlot{}
+		c.m[system] = sl
+	}
+	return sl
+}
+
+func (c *indexCache) generation(system string) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.slot(system).gen
+}
+
+// get returns the cached index while its identity is still id.
+func (c *indexCache) get(system string, id fileID) *outcomeindex.System {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if sl := c.slot(system); sl.sys != nil && sl.id == id {
+		return sl.sys
+	}
+	return nil
+}
+
+// fill installs an index a read loaded from disk, unless a save wrote
+// through after the read began.
+func (c *indexCache) fill(system string, gen uint64, id fileID, sys *outcomeindex.System) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if sl := c.slot(system); sl.gen == gen {
+		sl.id, sl.sys = id, sys
+	}
+}
+
+// put is the write-through: a save installs the index it built (or,
+// with a nil sys, empties the slot) and outdates every read in flight.
+func (c *indexCache) put(system string, id fileID, sys *outcomeindex.System) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sl := c.slot(system)
+	sl.gen++
+	sl.id, sl.sys = id, sys
 }
 
 // LoadIndexAll loads every system's index, sorted by system name.

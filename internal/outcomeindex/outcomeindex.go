@@ -123,8 +123,6 @@ type System struct {
 	Vulnerable []int `json:"vulnerable"`
 	// Agg holds the precomputed tallies.
 	Agg Aggregates `json:"agg"`
-
-	keyPos map[string]int // lazy Key -> position
 }
 
 // Meta identifies the snapshot an index is built from.
@@ -234,16 +232,12 @@ func Build(meta Meta, outcomes map[string]inject.Outcome) *System {
 	return b.Finish()
 }
 
-// Has reports whether the index holds an outcome for key.
+// Has reports whether the index holds an outcome for key. It reads
+// nothing but the sorted Docs, so a shared index answers concurrent
+// callers without synchronization.
 func (s *System) Has(key string) bool {
-	if s.keyPos == nil {
-		s.keyPos = make(map[string]int, len(s.Docs))
-		for i := range s.Docs {
-			s.keyPos[s.Docs[i].Key] = i
-		}
-	}
-	_, ok := s.keyPos[key]
-	return ok
+	i := sort.Search(len(s.Docs), func(i int) bool { return s.Docs[i].Key >= key })
+	return i < len(s.Docs) && s.Docs[i].Key == key
 }
 
 // ---- cross-system query ----
@@ -444,6 +438,11 @@ func ReadFile(path string) (*File, error) {
 	}
 	if f.Sys == nil {
 		return nil, fmt.Errorf("outcomeindex: sidecar %s holds no index", path)
+	}
+	for i := 1; i < len(f.Sys.Docs); i++ {
+		if f.Sys.Docs[i-1].Key >= f.Sys.Docs[i].Key {
+			return nil, fmt.Errorf("outcomeindex: sidecar %s lists its docs out of key order", path)
+		}
 	}
 	return &f, nil
 }

@@ -48,7 +48,6 @@ func ReplayFromStore(ctx context.Context, store *campaignstore.Store) ([]*System
 	if err != nil {
 		return nil, err
 	}
-	wantOpts := campaignstore.OptionsID(inject.DefaultOptions())
 	out := make([]*SystemResult, len(systems))
 	for i, w := range ws {
 		name := w.Sys.Name()
@@ -59,27 +58,16 @@ func ReplayFromStore(ctx context.Context, store *campaignstore.Store) ([]*System
 			}
 			return nil, err
 		}
-		if snap.Options != wantOpts {
-			return nil, fmt.Errorf("%w: %s snapshot was recorded under options %q, this build renders %q",
-				ErrStateIncomplete, name, snap.Options, wantOpts)
-		}
-		if snap.SetFingerprint != w.Set.Fingerprint() {
-			return nil, fmt.Errorf("%w: %s snapshot covers a different constraint set than this build infers (stale state; rerun the campaign)",
-				ErrStateIncomplete, name)
+		err = checkStored(w, snap.Options, snap.SetFingerprint, func(key string) bool {
+			_, ok := snap.Outcomes[key]
+			return ok
+		})
+		if err != nil {
+			return nil, err
 		}
 		results := make([]engine.Result[inject.Outcome], len(w.Ms))
-		missing := 0
 		for j, m := range w.Ms {
-			o, ok := snap.Outcomes[inject.CacheKey(m)]
-			if !ok {
-				missing++
-				continue
-			}
-			results[j] = engine.Result[inject.Outcome]{Index: j, Value: o, Cached: true}
-		}
-		if missing > 0 {
-			return nil, fmt.Errorf("%w: %s snapshot is missing %d of %d outcomes (campaign cancelled mid-run? rerun it to completion)",
-				ErrStateIncomplete, name, missing, len(w.Ms))
+			results[j] = engine.Result[inject.Outcome]{Index: j, Value: snap.Outcomes[inject.CacheKey(m)], Cached: true}
 		}
 		out[i] = &SystemResult{
 			Sys:       w.Sys,
@@ -90,4 +78,31 @@ func ReplayFromStore(ctx context.Context, store *campaignstore.Store) ([]*System
 		}
 	}
 	return out, nil
+}
+
+// checkStored reports why a system's stored state cannot serve a
+// read-only replay of workload w — recorded under other options, over
+// another constraint set, or missing outcomes — as ErrStateIncomplete.
+// has reports whether the store holds an outcome for a replay key.
+func checkStored(w shard.Workload, options, setFingerprint string, has func(key string) bool) error {
+	name := w.Sys.Name()
+	if want := campaignstore.OptionsID(inject.DefaultOptions()); options != want {
+		return fmt.Errorf("%w: %s snapshot was recorded under options %q, this build renders %q",
+			ErrStateIncomplete, name, options, want)
+	}
+	if setFingerprint != w.Set.Fingerprint() {
+		return fmt.Errorf("%w: %s snapshot covers a different constraint set than this build infers (stale state; rerun the campaign)",
+			ErrStateIncomplete, name)
+	}
+	missing := 0
+	for _, m := range w.Ms {
+		if !has(inject.CacheKey(m)) {
+			missing++
+		}
+	}
+	if missing > 0 {
+		return fmt.Errorf("%w: %s snapshot is missing %d of %d outcomes (campaign cancelled mid-run? rerun it to completion)",
+			ErrStateIncomplete, name, missing, len(w.Ms))
+	}
+	return nil
 }

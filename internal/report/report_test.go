@@ -11,7 +11,7 @@ import (
 
 // lockedState opens dir as a campaign store and holds its writer lock
 // for the remainder of the test — the handle AnalyzeOptions.State needs.
-func lockedState(t *testing.T, dir string) *campaignstore.LockSet {
+func lockedState(t testing.TB, dir string) *campaignstore.LockSet {
 	t.Helper()
 	store, err := campaignstore.Open(dir)
 	if err != nil {

@@ -1,7 +1,8 @@
 // Daemon metrics: per-endpoint HTTP traffic and latency, ETag
-// revalidation hits, the two read-path caches, job lifecycle counts
-// and durations, and SSE keepalive frames all feed the obs registry
-// the daemon itself serves at GET /metrics.
+// revalidation hits, the table read model, job lifecycle counts and
+// durations, and SSE keepalive frames all feed the obs registry the
+// daemon itself serves at GET /metrics. The outcome-index cache's
+// families are registered by internal/campaignstore, which owns it.
 package server
 
 import "spex/internal/obs"
@@ -11,10 +12,9 @@ const (
 	metricHTTPSeconds    = "spex_http_request_seconds"
 	metricEtagChecks     = "spex_http_etag_checks_total"
 	metricEtag304        = "spex_http_etag_304_total"
-	metricIndexHits      = "spex_server_index_cache_hits_total"
-	metricIndexRebuilds  = "spex_server_index_cache_rebuilds_total"
 	metricTablesHits     = "spex_server_tables_cache_hits_total"
 	metricTablesRebuilds = "spex_server_tables_cache_rebuilds_total"
+	metricReplayRebuilds = "spex_server_replay_system_rebuilds_total"
 	metricJobsByState    = "spex_jobs_total"
 	metricJobSeconds     = "spex_job_seconds"
 	metricSSEKeepalives  = "spex_sse_keepalives_total"
@@ -32,14 +32,12 @@ var (
 		"conditional requests carrying If-None-Match")
 	mEtag304 = obs.Default().Counter(metricEtag304,
 		"conditional requests answered 304 Not Modified")
-	mIndexHits = obs.Default().Counter(metricIndexHits,
-		"outcome-index reads served from the in-memory cache after stat revalidation")
-	mIndexRebuilds = obs.Default().Counter(metricIndexRebuilds,
-		"outcome-index reads that reloaded the index from disk")
 	mTablesHits = obs.Default().Counter(metricTablesHits,
-		"table requests served from the memoized replay analysis")
+		"table requests whose replay analysis rebuilt no system")
 	mTablesRebuilds = obs.Default().Counter(metricTablesRebuilds,
-		"table requests that recomputed the replay analysis")
+		"table requests whose replay analysis rebuilt at least one system")
+	mReplayRebuilds = obs.Default().Counter(metricReplayRebuilds,
+		"systems the table replay validated and rebuilt because their index fingerprint or inference moved")
 	mJobsByState = obs.Default().CounterVec(metricJobsByState,
 		"job lifecycle transitions, by state entered and namespace", "state", "namespace")
 	mJobSeconds = obs.Default().Histogram(metricJobSeconds,

@@ -69,14 +69,16 @@
 //
 // The read path never touches snapshot records: every read endpoint is
 // served from the store's outcome indexes (internal/outcomeindex),
-// cached in memory per system and revalidated with one stat call per
-// request against the snapshot file's (path, size, mtime) — a job's
-// atomic snapshot rename is exactly what changes that identity, so
-// cache invalidation needs no coupling to the job lifecycle. Reads
-// need no lock at all, even while a job is writing. Every read
-// endpoint carries an ETag derived from the snapshot fingerprint(s) it
-// serves (the replay-equivalence hash, not the bytes) and honors
-// If-None-Match with 304 Not Modified.
+// which the store caches in memory per system and revalidates with one
+// stat call per request against the snapshot file's (path, size,
+// mtime). A job's save writes its index through to that cache, so
+// invalidation needs no coupling to the job lifecycle. Tables come
+// from the namespace's report.IndexReplay, which rebuilds only the
+// systems whose index fingerprint moved. Reads need no lock at all,
+// even while a job is writing. Every read endpoint carries an ETag
+// derived from the snapshot fingerprint(s) it serves (the
+// replay-equivalence hash, not the bytes) and honors If-None-Match
+// with 304 Not Modified.
 package server
 
 import (
@@ -171,10 +173,13 @@ const (
 
 // namespace is one tenant: a campaign store with its own
 // whole-directory lock (held for the daemon's lifetime), job table,
-// queue, journal, and read caches.
+// queue, journal, and table read model.
 type namespace struct {
-	name  string
-	dir   string
+	name string
+	dir  string
+	// store serves every read from its own outcome-index cache
+	// (Store.LoadIndex, one stat per read). Jobs save through locks
+	// taken from it, so their indexes write through to that cache.
 	store *campaignstore.Store
 	lock  *campaignstore.Lock
 
@@ -190,22 +195,12 @@ type namespace struct {
 	exclusive bool // a coordinate job owns the whole namespace
 	busy      map[string]string
 
-	// idxMu guards idxCache, the in-memory outcome indexes behind the
-	// read path. An entry is valid only while the snapshot file it was
-	// derived from keeps its (path, size, mtime) identity — one stat
-	// call per request, rechecked every time, so a foreign writer (or a
-	// job's save) invalidates it without any signalling.
-	idxMu    sync.Mutex
-	idxCache map[string]*cachedIndex
-
-	// tablesMu guards tablesCache, the memoized read-only analysis
-	// behind /v1/tables, keyed by the combined store fingerprint
-	// (tablesKey) so it survives exactly as long as every underlying
-	// snapshot does. finishJob also drops it eagerly; holding the mutex
-	// across the compute single-flights concurrent table requests.
-	tablesMu    sync.Mutex
-	tablesKey   string
-	tablesCache []*report.SystemResult
+	// replay is the analysis behind /v1/tables, kept per system by
+	// (inference result, snapshot fingerprint): a write to one system
+	// rebuilds that system's entry on the next table read, and nothing
+	// else. It serializes its callers, so concurrent table requests
+	// after a write share one rebuild.
+	replay report.IndexReplay
 }
 
 // Server is the daemon. Create with New, serve with Handler (any
@@ -234,15 +229,6 @@ type Server struct {
 	jobsWG    sync.WaitGroup
 	closeOnce sync.Once
 	closeErr  error
-}
-
-// cachedIndex pins one system's in-memory index to the snapshot file
-// identity it was derived from.
-type cachedIndex struct {
-	path  string
-	size  int64
-	mtime int64
-	sys   *outcomeindex.System
 }
 
 // nsNameRE bounds namespace names: a path-safe lowercase slug.
@@ -347,14 +333,13 @@ func (s *Server) openNamespace(name string) (*namespace, error) {
 		return nil, err
 	}
 	ns := &namespace{
-		name:     name,
-		dir:      dir,
-		store:    store,
-		lock:     lock,
-		jobs:     make(map[string]*job),
-		busy:     make(map[string]string),
-		idxCache: make(map[string]*cachedIndex),
-		seq:      seq,
+		name:  name,
+		dir:   dir,
+		store: store,
+		lock:  lock,
+		jobs:  make(map[string]*job),
+		busy:  make(map[string]string),
+		seq:   seq,
 	}
 	for _, doc := range docs {
 		j := &job{doc: doc}
@@ -871,11 +856,6 @@ func (s *Server) endLocked(ns *namespace, j *job, state, msg string) Job {
 	if err := saveJournal(ns.dir, doc); err != nil {
 		s.logger.Error("journal write failed", "job", doc.ID, "namespace", ns.name, "err", err)
 	}
-	// The job may have rewritten snapshots: drop the memoized table
-	// analysis.
-	ns.tablesMu.Lock()
-	ns.tablesCache = nil
-	ns.tablesMu.Unlock()
 	s.bus.ForgetJob(ns.name, doc.ID)
 	return doc
 }
@@ -949,9 +929,9 @@ func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec 
 			saveErr = fmt.Errorf("%s: snapshot not saved: %w", run.Sys.Name(), run.Err)
 		}
 		if run.Status.Saved {
-			// The save just wrote the index sidecar, so this is a stat
-			// plus one small JSON read — not a snapshot re-parse.
-			if idx, err := ns.index(run.Sys.Name()); err == nil {
+			// The save wrote its index through to the store's cache, so
+			// this is one stat.
+			if idx, err := ns.store.LoadIndex(run.Sys.Name()); err == nil {
 				sum.Fingerprint = idx.Fingerprint
 			}
 		}
@@ -1054,7 +1034,7 @@ func (s *Server) executeStaged(ctx context.Context, ns *namespace, jobID string,
 			}
 			if has[StageEval] {
 				emit(StageEval, "running", "")
-				idx, err := ns.index(name)
+				idx, err := ns.store.LoadIndex(name)
 				if err != nil {
 					emit(StageEval, "failed", err.Error())
 					record(&sum, fmt.Errorf("%s: eval: %w", name, err))
@@ -1118,7 +1098,7 @@ func (s *Server) executeCoordinate(ctx context.Context, ns *namespace, jobID str
 	var summaries []SystemSummary
 	for _, st := range res.Stats {
 		sum := SystemSummary{System: st.System, Outcomes: st.Outcomes, Fingerprint: st.Fingerprint}
-		if idx, err := ns.index(st.System); err == nil {
+		if idx, err := ns.store.LoadIndex(st.System); err == nil {
 			sum.Vulnerabilities = idx.Agg.Vulnerabilities
 		}
 		summaries = append(summaries, sum)
@@ -1162,55 +1142,6 @@ func describeSpec(spec JobSpec) string {
 		return fmt.Sprintf("%s, stages %v", target, spec.Stages)
 	}
 	return target
-}
-
-// ---- index cache ----
-
-// index returns the system's outcome index, serving the in-memory copy
-// while the snapshot file on disk still matches the (path, size, mtime)
-// identity the copy was built from, and falling through to
-// store.LoadIndex (sidecar, or full rebuild) otherwise.
-func (ns *namespace) index(name string) (*outcomeindex.System, error) {
-	path, fi, err := ns.store.SnapshotInfo(name)
-	if err != nil {
-		return nil, err
-	}
-	ns.idxMu.Lock()
-	if c := ns.idxCache[name]; c != nil &&
-		c.path == path && c.size == fi.Size() && c.mtime == fi.ModTime().UnixNano() {
-		sys := c.sys
-		ns.idxMu.Unlock()
-		mIndexHits.Inc()
-		return sys, nil
-	}
-	ns.idxMu.Unlock()
-	sys, err := ns.store.LoadIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	mIndexRebuilds.Inc()
-	ns.idxMu.Lock()
-	ns.idxCache[name] = &cachedIndex{path: path, size: fi.Size(), mtime: fi.ModTime().UnixNano(), sys: sys}
-	ns.idxMu.Unlock()
-	return sys, nil
-}
-
-// indexAll returns every stored system's index, sorted by system name.
-func (ns *namespace) indexAll() ([]*outcomeindex.System, error) {
-	names, err := ns.store.List()
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(names)
-	out := make([]*outcomeindex.System, 0, len(names))
-	for _, name := range names {
-		sys, err := ns.index(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sys)
-	}
-	return out, nil
 }
 
 // combinedEtag folds the per-system snapshot fingerprints into one
@@ -1691,7 +1622,7 @@ func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, sub dash.Sub,
 }
 
 func (s *Server) handleSystems(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	idxs, err := ns.indexAll()
+	idxs, err := ns.store.LoadIndexAll()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -1771,7 +1702,7 @@ func (s *Server) handleOutcomes(ns *namespace, w http.ResponseWriter, r *http.Re
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	idx, err := ns.index(name)
+	idx, err := ns.store.LoadIndex(name)
 	if err != nil {
 		writeError(w, storeErrCode(err), err)
 		return
@@ -1844,7 +1775,7 @@ func (s *Server) handleQuery(ns *namespace, w http.ResponseWriter, r *http.Reque
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad all %q (want 1 or 0)", v))
 		return
 	}
-	idxs, err := ns.indexAll()
+	idxs, err := ns.store.LoadIndexAll()
 	if err != nil {
 		writeError(w, storeErrCode(err), err)
 		return
@@ -1864,33 +1795,31 @@ func (s *Server) handleQuery(ns *namespace, w http.ResponseWriter, r *http.Reque
 	})
 }
 
-// replayResults serves the memoized read-only analysis, recomputing it
-// (report.ReplayFromIndex — the tables never parse a snapshot record)
-// only when the combined store fingerprint moved — a client fetching
-// all twelve tables pays for one index replay, not twelve. Failed
+// replayResults serves the read-only analysis of the store as it is
+// now, and the ETag of exactly the indexes that analysis was built
+// from: one LoadIndexAll feeds both, so a save landing mid-request
+// cannot pair a newer analysis with an older tag. The namespace's
+// IndexReplay rebuilds only the systems whose index moved — a client
+// fetching all twelve tables pays for at most one replay, and a job
+// that rewrote one snapshot costs that system's replay alone. Failed
 // replays (incomplete state) are never cached; the next request
-// retries. The returned etag identifies the store state the analysis
-// was computed from.
+// retries.
 func (ns *namespace) replayResults(ctx context.Context) ([]*report.SystemResult, string, error) {
-	idxs, err := ns.indexAll()
+	idxs, err := ns.store.LoadIndexAll()
 	if err != nil {
 		return nil, "", err
 	}
-	etag := combinedEtag(idxs)
-	ns.tablesMu.Lock()
-	defer ns.tablesMu.Unlock()
-	if ns.tablesCache != nil && ns.tablesKey == etag {
+	results, rebuilt, err := ns.replay.Replay(ctx, idxs)
+	if err != nil {
+		return nil, "", err
+	}
+	mReplayRebuilds.Add(uint64(rebuilt))
+	if rebuilt == 0 {
 		mTablesHits.Inc()
-		return ns.tablesCache, etag, nil
+	} else {
+		mTablesRebuilds.Inc()
 	}
-	results, err := report.ReplayFromIndex(ctx, ns.store)
-	if err != nil {
-		return nil, "", err
-	}
-	mTablesRebuilds.Inc()
-	ns.tablesCache = results
-	ns.tablesKey = etag
-	return results, etag, nil
+	return results, combinedEtag(idxs), nil
 }
 
 func (s *Server) handleTable(ns *namespace, w http.ResponseWriter, r *http.Request) {
